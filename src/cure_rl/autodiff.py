@@ -353,24 +353,6 @@ def sqrt(a) -> Tensor:
     return _make(y, (a,), lambda g: (g / (2.0 * y),))
 
 
-ELEMENTWISE = {
-    "relu": relu,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "softplus": softplus,
-    "square": square,
-    "sqrt": sqrt,
-}
-
-
-def elementwise(op: str, x) -> Tensor:
-    try:
-        return ELEMENTWISE[op](x)
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}; valid: {sorted(ELEMENTWISE)}") from None
-
-
 def clip(a, lo: float, hi: float) -> Tensor:
     """Hard clamp; gradient is 1 strictly inside (lo, hi), else 0."""
     a = as_tensor(a)

@@ -49,8 +49,6 @@ class CureConfig:
     beta: float = 1.0
     p_c: float = 0.2
     gamma: float = 0.99
-    single_policy: bool = False
-    encoder_update: bool = True
 
     def validate(self):
         if not 0.0 <= self.p_c <= 1.0:

@@ -38,13 +38,3 @@ def choose_source(mix_rng: np.random.Generator, p_c: float, seeding: bool,
     eps = mix_rng.random()
     return ActionSource.CURIOUS if eps < p_c else ActionSource.TASK
 
-
-def update_curious_agent(agent, encoder, obs, actions, intrinsic_rewards, dones,
-                         next_obs, rng) -> float | None:
-    """One curious-critic step using intrinsic rewards in place of task reward."""
-    if len(intrinsic_rewards) != obs.shape[0]:
-        raise ValueError(
-            f"{len(intrinsic_rewards)} intrinsic rewards for batch of {obs.shape[0]}")
-    return agent.update_critic(encoder, obs, actions,
-                               np.asarray(intrinsic_rewards, dtype=np.float32),
-                               dones, next_obs, rng)

@@ -401,11 +401,3 @@ def make_task(name: str, rng: np.random.Generator, *, render_size: int = 36,
     )
     return info["cls"](spec, rng, **info["kwargs"])
 
-
-def write_pgm(path, frame: np.ndarray):
-    """Dump a [0,1] grayscale frame as a binary PGM for visual debugging."""
-    h, w = frame.shape
-    data = (np.clip(frame, 0.0, 1.0) * 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(data.tobytes())

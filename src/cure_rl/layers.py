@@ -94,10 +94,6 @@ def merge_params(*modules) -> dict:
     return out
 
 
-def copy_param_data(params: dict) -> dict:
-    return {name: p.data.copy() for name, p in params.items()}
-
-
 def load_param_data(params: dict, arrays: dict, prefix: str = ""):
     for name, p in params.items():
         src = arrays[prefix + name]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -15,8 +14,6 @@ class Batch:
     rewards: np.ndarray     # (B,)
     next_obs: np.ndarray    # (B, S, H, W)
     dones: np.ndarray       # (B,)
-    anchor: Optional[np.ndarray] = None    # (B, S, C, C) random crop view
-    positive: Optional[np.ndarray] = None  # (B, S, C, C) second view, same source
 
 
 class ReplayBuffer:

@@ -2,9 +2,10 @@
 critics with polyak-averaged targets, and a learned temperature.
 
 The same agent class is instantiated twice in the full system: once for the
-task reward and once for the intrinsic (representation-error) reward. Actor
-and temperature updates never propagate into the encoder; critic updates do,
-via the latents, unless ``update_encoder`` is off.
+task reward and once for the intrinsic (representation-error) reward. The
+agent never runs the encoder during its updates: the caller passes latents in.
+Critic updates reach the encoder through the graph of the latent they are
+given; actor and temperature updates take detached latents.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ class SacHyperparams:
     gamma: float = 0.99
     critic_lr: float = 1e-3
     critic_tau: float = 0.01
-    critic_target_freq: int = 2
     actor_lr: float = 1e-3
-    actor_freq: int = 2
     log_std_min: float = -10.0
     log_std_max: float = 2.0
     alpha_lr: float = 1e-4
@@ -104,25 +103,14 @@ class QFunction:
         return merge_params(self.l1, self.l2, self.l3)
 
 
-def polyak_update(online: dict, target: dict, tau: float):
-    """target <- tau * online + (1 - tau) * target, elementwise."""
-    for name, p in online.items():
-        t = target[name]
-        if t.data.shape != p.data.shape:
-            raise ValueError(f"polyak: shape mismatch for {name}")
-        t.data = tau * p.data + (1.0 - tau) * t.data
-
-
 class SacAgent:
     """One actor-critic-temperature bundle operating on encoder latents."""
 
     def __init__(self, rng, z_dim: int, action_dim: int, hp: SacHyperparams,
-                 name: str, encoder_params: dict | None = None,
-                 update_encoder: bool = True):
+                 name: str, encoder_params: dict | None = None):
         self.name = name
         self.hp = hp
         self.action_dim = action_dim
-        self.update_encoder = update_encoder
         self.target_entropy = -float(action_dim)
         self.actor = GaussianActor(rng, z_dim, action_dim, hp.hidden_dim,
                                    hp.log_std_min, hp.log_std_max, f"{name}.actor")
@@ -140,7 +128,7 @@ class SacAgent:
                                 requires_grad=True)
 
         critic_params = merge_params(self.q1, self.q2)
-        if encoder_params and update_encoder:
+        if encoder_params:
             critic_params = merge_params(critic_params, encoder_params)
         self.critic_opt = ad.Adam(critic_params, lr=hp.critic_lr)
         self.actor_opt = ad.Adam(self.actor.params(), lr=hp.actor_lr)
@@ -151,27 +139,27 @@ class SacAgent:
         return float(np.exp(self.log_alpha.data))
 
     # -- updates -----------------------------------------------------------
-    def compute_target(self, encoder, next_obs: np.ndarray, rewards: np.ndarray,
-                       dones: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Bootstrapped twin-min soft target; computed without gradient flow."""
-        if rewards.shape[0] != next_obs.shape[0]:
-            raise ValueError(f"{rewards.shape[0]} rewards for {next_obs.shape[0]} transitions")
+    def compute_target(self, z_next: Tensor, rewards: np.ndarray, dones: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+        """Bootstrapped twin-min soft target from next-state latents; no gradient flow."""
+        n = z_next.shape[0]
+        if rewards.shape[0] != n:
+            raise ValueError(f"{rewards.shape[0]} rewards for {n} transitions")
         with no_grad():
-            z2 = encoder(Tensor(next_obs))
-            eps = rng.standard_normal((next_obs.shape[0], self.action_dim))
-            a2, logp2 = self.actor.sample(z2, eps)
-            q = np.minimum(self.tq1(z2, a2).data, self.tq2(z2, a2).data)
+            eps = rng.standard_normal((n, self.action_dim))
+            a2, logp2 = self.actor.sample(z_next, eps)
+            q = np.minimum(self.tq1(z_next, a2).data, self.tq2(z_next, a2).data)
             y = rewards + self.hp.gamma * (1.0 - dones) * (q - self.alpha * logp2.data)
         return y
 
-    def update_critic(self, encoder, obs, actions, rewards, dones, next_obs,
+    def update_critic(self, z: Tensor, actions, rewards, dones, z_next: Tensor,
                       rng: np.random.Generator) -> float | None:
-        """One critic step; gradients reach the encoder through the latents."""
-        y = self.compute_target(encoder, next_obs, rewards, dones, rng)
+        """One critic step; gradients reach the encoder through the graph of ``z``,
+        and the target bootstraps from the no-grad next-state latent ``z_next``."""
+        y = self.compute_target(z_next, rewards, dones, rng)
         if not np.all(np.isfinite(y)):
             log.warning("%s: non-finite critic target, update skipped", self.name)
             return None
-        z = encoder(Tensor(obs), detach=not self.update_encoder)
         a = Tensor(actions)
         yt = Tensor(y.astype(np.float32))
         loss = ad.reduce_mean(ad.square(self.q1(z, a) - yt)) + \

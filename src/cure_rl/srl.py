@@ -125,10 +125,12 @@ class SrlModel:
         self.updates = 0
 
     # -- losses ----------------------------------------------------------
-    def rae_loss(self, obs: np.ndarray):
-        """Returns (scalar loss Tensor, per-sample errors ndarray)."""
+    def rae_loss(self, obs: np.ndarray, z: Tensor | None = None):
+        """Returns (scalar loss Tensor, per-sample errors ndarray); ``z`` is the
+        latent of ``obs`` at the current encoder parameters, if already encoded."""
         t = Tensor(obs)
-        z = self.encoder(t)
+        if z is None:
+            z = self.encoder(t)
         recon = self.decoder(z)
         mse = ad.reduce_mean(ad.square(recon - t), axis=(1, 2, 3))
         z_pen = ad.reduce_sum(ad.square(z), axis=1) * self.lambda_z
@@ -160,16 +162,17 @@ class SrlModel:
         return loss, per_sample.data.copy()
 
     # -- public API --------------------------------------------------------
-    def encode(self, obs: np.ndarray, detach: bool = False) -> Tensor:
-        return self.encoder(Tensor(obs), detach=detach)
+    def encode(self, obs: np.ndarray) -> Tensor:
+        return self.encoder(Tensor(obs))
 
-    def srl_error(self, obs=None, anchor=None, positive=None) -> np.ndarray:
-        """Per-sample error of the active head; pure evaluation."""
+    def srl_error(self, obs=None, anchor=None, positive=None, z=None) -> np.ndarray:
+        """Per-sample error of the active head; pure evaluation. The rae head
+        reuses the latent ``z`` of ``obs`` when given."""
         with no_grad():
             if self.head == "rae":
                 if obs is None:
                     raise ValueError("rae head needs obs")
-                _, errors = self.rae_loss(obs)
+                _, errors = self.rae_loss(obs, z)
             else:
                 if anchor is None or positive is None:
                     raise ValueError("contrastive head needs (anchor, positive)")

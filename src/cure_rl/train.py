@@ -6,6 +6,20 @@ buffer push, batch sample, SRL update (returning the intrinsic reward), task
 agent update, curious agent update. Every random draw comes from a named
 substream of the run seed, so (config, seed) fully determines all outputs and
 disabling the curious policy leaves the remaining streams untouched.
+
+An update step can move the shared encoder three times: in the SRL step,
+the task critic step and the curious critic step. The trainer encodes each
+batch once per encoder version and hands the latents down:
+
+1. After the SRL step: the no-grad next-state latent, which the rae head
+   scores for the intrinsic reward and the task critic bootstraps from; and
+   the graph latent through which the task critic trains the encoder.
+2. After the task critic step: the graph latent through which the curious
+   critic trains the encoder, whose detached values the task actor reads
+   (without a curious update the task actor encodes without a graph); and
+   the next-state latent the curious critic bootstraps from. A step without
+   a task update keeps version 1 and its next-state latent.
+3. After the curious critic step: the detached latent of the curious actor.
 """
 
 from __future__ import annotations
@@ -88,11 +102,10 @@ class Trainer:
         self.task_agent = SacAgent(init_rng, cfg.srl.z_dim, self.action_dim, task_hp,
                                    "task", encoder_params=enc_params)
         self.curious_agent = None
-        if cfg.cure.enabled and not cfg.cure.single_policy:
+        if cfg.cure.enabled:
             cure_hp = self._hyperparams(cfg.cure.gamma)
             self.curious_agent = SacAgent(init_rng, cfg.srl.z_dim, self.action_dim,
-                                          cure_hp, "cure", encoder_params=enc_params,
-                                          update_encoder=cfg.cure.encoder_update)
+                                          cure_hp, "cure", encoder_params=enc_params)
 
         self.buffer = ReplayBuffer(cfg.replay.capacity)
         self.agg = LossAggregator()
@@ -107,9 +120,7 @@ class Trainer:
         c = self.cfg
         return SacHyperparams(
             hidden_dim=c.hidden_dim, gamma=gamma,
-            critic_lr=c.critic.lr, critic_tau=c.critic.tau,
-            critic_target_freq=c.critic.target_freq,
-            actor_lr=c.actor.lr, actor_freq=c.actor.freq,
+            critic_lr=c.critic.lr, critic_tau=c.critic.tau, actor_lr=c.actor.lr,
             log_std_min=c.actor.log_std[0], log_std_max=c.actor.log_std[1],
             alpha_lr=c.alpha.lr, init_alpha=c.alpha.init)
 
@@ -161,66 +172,7 @@ class Trainer:
             batch = self.buffer.sample(cfg.batch_size, self.streams["replay"])
             if hook:
                 hook(t, "sample")
-            obs_c = center_crop(batch.obs, self.crop)
-            next_c = center_crop(batch.next_obs, self.crop)
-
-            if cfg.srl.head == "contrastive":
-                anchor, positive = augmented_views(batch.obs, self.crop, self.streams["crop"])
-                errors = self.srl.update(anchor=anchor, positive=positive)
-            else:
-                errors = self.srl.update(obs=obs_c)
-            if hook:
-                hook(t, "srl")
-            self.agg.add("srl", float(np.mean(errors)))
-            r_int = None
-            if cfg.cure.enabled:
-                # reward the state an action leads to: score next_obs so the
-                # curious critic sees a direct action -> novelty link
-                if cfg.srl.head == "contrastive":
-                    na, np_ = augmented_views(batch.next_obs, self.crop,
-                                              self.streams["crop"])
-                    next_errors = self.srl.srl_error(anchor=na, positive=np_)
-                else:
-                    next_errors = self.srl.srl_error(obs=next_c)
-                r_int = cure.intrinsic_reward(next_errors, cfg.cure.beta)
-                self.agg.add("intrinsic", float(np.mean(r_int)))
-
-            if update_task:
-                rewards = batch.rewards
-                if cfg.cure.enabled and cfg.cure.single_policy:
-                    rewards = rewards + r_int
-                closs = self.task_agent.update_critic(
-                    self.srl.encoder, obs_c, batch.actions, rewards,
-                    batch.dones, next_c, self.streams["task_update"])
-                self.agg.add("critic_task", closs)
-                if t % cfg.actor.freq == 0:
-                    with no_grad():
-                        z = self.srl.encode(obs_c).data
-                    aloss, alloss = self.task_agent.update_actor_and_alpha(
-                        z, self.streams["task_update"])
-                    self.agg.add("actor_task", aloss)
-                    self.agg.add("alpha_task", alloss)
-                if t % cfg.critic.target_freq == 0:
-                    self.task_agent.polyak()
-            if hook:
-                hook(t, "task_ac")
-
-            if update_curious and self.curious_agent is not None:
-                closs = cure.update_curious_agent(
-                    self.curious_agent, self.srl.encoder, obs_c, batch.actions,
-                    r_int, batch.dones, next_c, self.streams["curious_update"])
-                self.agg.add("critic_cure", closs)
-                if t % cfg.actor.freq == 0:
-                    with no_grad():
-                        z = self.srl.encode(obs_c).data
-                    aloss, alloss = self.curious_agent.update_actor_and_alpha(
-                        z, self.streams["curious_update"])
-                    self.agg.add("actor_cure", aloss)
-                    self.agg.add("alpha_cure", alloss)
-                if t % cfg.critic.target_freq == 0:
-                    self.curious_agent.polyak()
-                if hook:
-                    hook(t, "curious_ac")
+            self._update(t, batch, update_task, update_curious)
 
         if done:
             writer.write_row("train", t + 1, self.episode, self.episode_reward,
@@ -232,6 +184,85 @@ class Trainer:
         if eval_enabled and (t + 1) % cfg.eval.interval == 0:
             mean_reward = self.evaluate()
             writer.write_row("eval", t + 1, self.episode, mean_reward, {})
+
+    def _update(self, t: int, batch, update_task: bool, update_curious: bool):
+        """SRL, task and curious updates on one batch; latents as in the module docstring."""
+        cfg, hook, srl = self.cfg, self.phase_hook, self.srl
+        rae = cfg.srl.head == "rae"
+        curious = update_curious and self.curious_agent is not None
+        actor_step = t % cfg.actor.freq == 0
+        target_step = t % cfg.critic.target_freq == 0
+        obs_c = center_crop(batch.obs, self.crop)
+        next_c = center_crop(batch.next_obs, self.crop)
+
+        if rae:
+            errors = srl.update(obs=obs_c)
+        else:
+            anchor, positive = augmented_views(batch.obs, self.crop, self.streams["crop"])
+            errors = srl.update(anchor=anchor, positive=positive)
+        if hook:
+            hook(t, "srl")
+        self.agg.add("srl", float(np.mean(errors)))
+
+        # version 1: after the SRL step; random pretraining may have no reader
+        z_next = None
+        if update_task or curious or (cfg.cure.enabled and rae):
+            with no_grad():
+                z_next = srl.encode(next_c)
+        r_int = None
+        if cfg.cure.enabled:
+            # reward the state an action leads to: score next_obs so the
+            # curious critic sees a direct action -> novelty link
+            if rae:
+                next_errors = srl.srl_error(obs=next_c, z=z_next)
+            else:
+                na, np_ = augmented_views(batch.next_obs, self.crop, self.streams["crop"])
+                next_errors = srl.srl_error(anchor=na, positive=np_)
+            r_int = cure.intrinsic_reward(next_errors, cfg.cure.beta)
+            self.agg.add("intrinsic", float(np.mean(r_int)))
+
+        if update_task:
+            closs = self.task_agent.update_critic(
+                srl.encode(obs_c), batch.actions, batch.rewards, batch.dones, z_next,
+                self.streams["task_update"])
+            self.agg.add("critic_task", closs)
+
+        # version 2: after the task critic step
+        if curious:
+            z = srl.encode(obs_c)
+        elif update_task and actor_step:
+            with no_grad():
+                z = srl.encode(obs_c)
+        if update_task:
+            if actor_step:
+                aloss, alloss = self.task_agent.update_actor_and_alpha(
+                    z.data, self.streams["task_update"])
+                self.agg.add("actor_task", aloss)
+                self.agg.add("alpha_task", alloss)
+            if target_step:
+                self.task_agent.polyak()
+        if hook:
+            hook(t, "task_ac")
+
+        if curious:
+            if update_task:
+                with no_grad():
+                    z_next = srl.encode(next_c)
+            closs = self.curious_agent.update_critic(
+                z, batch.actions, r_int, batch.dones, z_next, self.streams["curious_update"])
+            self.agg.add("critic_cure", closs)
+            if actor_step:
+                # version 3: after the curious critic step
+                with no_grad():
+                    z = srl.encode(obs_c)
+                aloss, alloss = self.curious_agent.update_actor_and_alpha(
+                    z.data, self.streams["curious_update"])
+                self.agg.add("actor_cure", aloss)
+                self.agg.add("alpha_cure", alloss)
+            if target_step:
+                self.curious_agent.polyak()
+            if hook:
+                hook(t, "curious_ac")
 
     # -- phases ----------------------------------------------------------------
     def _loop(self, n_steps: int, *, action_mode: str, update_task: bool,
@@ -284,7 +315,7 @@ class Trainer:
                            start_t=self.phase_t if resume else 0)
             else:
                 self._loop(cfg.steps, action_mode="mixed", update_task=True,
-                           update_curious=cfg.cure.enabled and not cfg.cure.single_policy,
+                           update_curious=cfg.cure.enabled,
                            writer=writer, eval_enabled=True,
                            start_t=self.phase_t if resume else 0)
         finally:
@@ -397,8 +428,8 @@ def train(cfg: ExperimentConfig, out_dir: str | None = None,
 
 def run_cure_only(cfg: ExperimentConfig, out_dir: str | None = None) -> Trainer:
     """Train only the curious agent and SRL; no task reward is consumed."""
-    if not cfg.cure.enabled or cfg.cure.single_policy:
-        raise ValueError("cure-only training requires cure.enabled and a separate policy")
+    if not cfg.cure.enabled:
+        raise ValueError("cure-only training requires cure.enabled")
     trainer = Trainer(cfg, out_dir)
     trainer.run_main(cure_only=True)
     trainer.save_checkpoint()

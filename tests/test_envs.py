@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cure_rl.envs import (Canvas, EnvSpec, TASK_NAMES, make_task, wrap_angle,
-                          write_pgm)
+from cure_rl.envs import Canvas, EnvSpec, TASK_NAMES, make_task, wrap_angle
 
 ALL_TASKS = list(TASK_NAMES)
 
@@ -180,15 +179,6 @@ class TestTasks:
 def test_wrap_angle_range():
     a = wrap_angle(np.array([4.0 * np.pi, -3.5 * np.pi, 0.1]))
     assert np.all(a >= -np.pi) and np.all(a < np.pi)
-
-
-def test_write_pgm(tmp_path):
-    img = np.linspace(0, 1, 400, dtype=np.float32).reshape(20, 20)
-    path = tmp_path / "frame.pgm"
-    write_pgm(str(path), img)
-    data = path.read_bytes()
-    assert data.startswith(b"P5")
-    assert b"20 20" in data
 
 
 @settings(max_examples=15, deadline=None)

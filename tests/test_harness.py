@@ -13,6 +13,7 @@ from cure_rl.config import (ExperimentConfig, config_hash, flatten, load_config,
                             save_config, set_by_path)
 from cure_rl.metrics import COLUMNS, LossAggregator, MetricsWriter, read_metrics
 from cure_rl.plotting import collect_series, plot_reward_curves
+from cure_rl.srl import Encoder
 from cure_rl.train import Trainer, train
 
 
@@ -241,13 +242,39 @@ class TestTrainer:
         assert any(r["kind"] == "eval" for r in rows)
         assert os.path.exists(os.path.join(out, "checkpoint.ckpt"))
 
-    def test_rerun_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("head", ["rae", "contrastive"])
+    def test_rerun_is_byte_identical(self, tmp_path, head):
         m = []
         for d in ("a", "b"):
             out = str(tmp_path / d)
-            train(tiny_cfg(), out)
+            train(tiny_cfg(**{"srl.head": head}), out)
             m.append(open(os.path.join(out, "metrics.csv"), "rb").read())
         assert m[0] == m[1]
+
+    def test_update_step_encodes_each_latent_once(self, tmp_path, monkeypatch):
+        """Encoder forwards per update step, action selection included: one per
+        (batch, encoder version), so an RAE cure step makes 6, plus one for
+        the curious actor on actor steps."""
+        cfg = tiny_cfg(**{"eval.interval": 1000})
+        calls = [0]
+        after_step = {}   # step -> encoder forwards so far, at its last phase hook
+
+        def hook(t, phase):
+            after_step[t] = calls[0]
+
+        tr = Trainer(cfg, str(tmp_path), phase_hook=hook)
+        forward = Encoder.__call__
+
+        def counted(enc, obs, detach=False):
+            if enc is tr.srl.encoder:
+                calls[0] += 1
+            return forward(enc, obs, detach)
+
+        monkeypatch.setattr(Encoder, "__call__", counted)
+        tr.run_main()
+        steps = range(cfg.init_steps, cfg.steps)
+        assert {t: after_step[t] - after_step[t - 1] for t in steps} == \
+            {t: 7 if t % cfg.actor.freq == 0 else 6 for t in steps}
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         full = str(tmp_path / "full")
