@@ -80,9 +80,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -411,25 +408,36 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # -- convolutions (3x3 kernels, valid padding) ---------------------------
+# Tensors are NCHW at the op boundary and channels-last (NHWC) inside an op,
+# so im2col rows and scattered taps are runs of contiguous channels; kernels
+# (F, C, 3, 3) become (F, 9C) rows in the same (u, v, c) order. Results are
+# NCHW views of NHWC arrays; the elementwise ops that follow keep that memory
+# layout, so the next conv's transpose to NHWC copies nothing.
 
-def _conv_windows(x: np.ndarray, stride: int) -> np.ndarray:
-    n, c, h, w = x.shape
-    ho = (h - 3) // stride + 1
-    wo = (w - 3) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (n, c, ho, wo, 3, 3), (s0, s1, s2 * stride, s3 * stride, s2, s3))
+def _nhwc(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
 
 
-def _col2im(cols6: np.ndarray, out_shape, stride: int) -> np.ndarray:
-    # cols6: (N, Hi, Wi, C, 3, 3) scattered back onto (N, C, Ho, Wo)
-    _, hi, wi = cols6.shape[0], cols6.shape[1], cols6.shape[2]
-    y = np.zeros(out_shape, dtype=cols6.dtype)
+def _im2col(xh: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(N, H, W, C) -> (N*ho*wo, 9C) rows of 3x3 windows, channels fastest."""
+    n, _, _, c = xh.shape
+    s0, s1, s2, s3 = xh.strides
+    win = np.lib.stride_tricks.as_strided(
+        xh, (n, ho, wo, 3, 3, c), (s0, s1 * stride, s2 * stride, s1, s2, s3))
+    return win.reshape(n * ho * wo, 9 * c)
+
+
+def _scatter(xh: np.ndarray, kmat: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(N, H, W, F) -> (N, ho, wo, C): adds xh @ tap (u, v) of kmat at its offset."""
+    n, h, w, f = xh.shape
+    taps = np.ascontiguousarray(kmat.reshape(f, 3, 3, -1).transpose(1, 2, 0, 3))
+    rows = xh.reshape(n * h * w, f)
+    acc = np.zeros((n, ho, wo, taps.shape[3]), dtype=np.result_type(xh, kmat))
     for u in range(3):
         for v in range(3):
-            y[:, :, u:u + stride * (hi - 1) + 1:stride,
-                 v:v + stride * (wi - 1) + 1:stride] += cols6[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-    return y
+            acc[:, u:u + stride * (h - 1) + 1:stride,
+                v:v + stride * (w - 1) + 1:stride] += (rows @ taps[u, v]).reshape(n, h, w, -1)
+    return acc
 
 
 def conv2d(x, k, stride: int = 1) -> Tensor:
@@ -448,15 +456,14 @@ def conv2d(x, k, stride: int = 1) -> Tensor:
     ho = (h - 3) // stride + 1
     wo = (w - 3) // stride + 1
 
-    win = _conv_windows(x.data, stride)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * 9)
-    kmat = k.data.reshape(f, c * 9)
+    cols = _im2col(_nhwc(x.data), stride, ho, wo)
+    kmat = k.data.transpose(0, 2, 3, 1).reshape(f, 9 * c)
     out = (cols @ kmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        gk = (g2.T @ cols).reshape(f, c, 3, 3)
-        gx = _col2im((g2 @ kmat).reshape(n, ho, wo, c, 3, 3), x.shape, stride)
+        gh = _nhwc(g)
+        gk = (gh.reshape(-1, f).T @ cols).reshape(f, 3, 3, c).transpose(0, 3, 1, 2)
+        gx = _scatter(gh, kmat, stride, h, w).transpose(0, 3, 1, 2) if x.requires_grad else None
         return (gx, gk)
 
     return _make(out, (x, k), backward)
@@ -481,17 +488,15 @@ def conv_transpose2d(x, k, stride: int = 1, output_padding: int = 0) -> Tensor:
     c = k.shape[1]
     ho = (h - 1) * stride + 3 + output_padding
     wo = (w - 1) * stride + 3 + output_padding
-    out_shape = (n, c, ho, wo)
 
-    kmat = k.data.reshape(f, c * 9)
-    x2 = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n * h * w, f)
-    out = _col2im((x2 @ kmat).reshape(n, h, w, c, 3, 3), out_shape, stride)
+    xh = _nhwc(x.data)
+    kmat = k.data.transpose(0, 2, 3, 1).reshape(f, 9 * c)
+    out = _scatter(xh, kmat, stride, ho, wo).transpose(0, 3, 1, 2)
 
     def backward(g):
-        win = _conv_windows(g, stride)
-        gcols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * 9)
-        gx = (gcols @ kmat.T).reshape(n, h, w, f).transpose(0, 3, 1, 2)
-        gk = (x2.T @ gcols).reshape(f, c, 3, 3)
+        gcols = _im2col(_nhwc(g), stride, h, w)
+        gk = (xh.reshape(-1, f).T @ gcols).reshape(f, 3, 3, c).transpose(0, 3, 1, 2)
+        gx = (gcols @ kmat.T).reshape(n, h, w, f).transpose(0, 3, 1, 2) if x.requires_grad else None
         return (gx, gk)
 
     return _make(out, (x, k), backward)

@@ -141,6 +141,10 @@ def gradient_suite(seed: int = 0) -> dict:
           [img, k], sample=64)
     check("conv2d_s2", lambda i, w: ad.reduce_sum(ad.square(ad.conv2d(i, w, 2))),
           [img, k], sample=64)
+    # non-square, odd-sized: a swapped H/W stride in the window view shows here
+    odd = _t(rng, 2, 3, 9, 8)
+    check("conv2d_s2_odd", lambda i, w: ad.reduce_sum(ad.square(ad.conv2d(i, w, 2))),
+          [odd, k], sample=64)
     small = _t(rng, 2, 4, 4, 4)
     kt = Tensor((rng.standard_normal((4, 3, 3, 3)) * 0.3).astype(np.float32),
                 requires_grad=True)
@@ -150,6 +154,10 @@ def gradient_suite(seed: int = 0) -> dict:
     check("conv_transpose2d_s2",
           lambda i, w: ad.reduce_sum(ad.square(ad.conv_transpose2d(i, w, 2, 1))),
           [small, kt], sample=64)
+    odd_small = _t(rng, 2, 4, 5, 4)
+    check("conv_transpose2d_s2_odd",
+          lambda i, w: ad.reduce_sum(ad.square(ad.conv_transpose2d(i, w, 2, 1))),
+          [odd_small, kt], sample=64)
 
     logits = _t(rng, 4, 4)
     targets = np.arange(4)

@@ -13,6 +13,7 @@ error used as the intrinsic exploration reward:
 
 from __future__ import annotations
 
+import contextlib
 import logging
 
 import numpy as np
@@ -53,12 +54,13 @@ class Encoder:
         self.ln = LayerNorm(z_dim, f"{name}.ln")
 
     def __call__(self, obs: Tensor, detach: bool = False) -> Tensor:
-        h = obs
-        for conv in self.convs:
-            h = ad.relu(conv(h))
-        h = ad.reshape(h, (h.shape[0], -1))
-        z = ad.tanh(self.ln(self.fc(h)))
-        return z.detach() if detach else z
+        # a detached latent needs no tape, so build none
+        with no_grad() if detach else contextlib.nullcontext():
+            h = obs
+            for conv in self.convs:
+                h = ad.relu(conv(h))
+            h = ad.reshape(h, (h.shape[0], -1))
+            return ad.tanh(self.ln(self.fc(h)))
 
     def params(self):
         return merge_params(*self.convs, self.fc, self.ln)

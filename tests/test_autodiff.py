@@ -144,6 +144,104 @@ class TestConv:
         assert err < 1e-6
 
 
+def _conv2d_loop(x, k, g, stride):
+    """Explicit-loop float64 conv2d: output, input gradient and kernel
+    gradient for the seed gradient ``g``."""
+    x, k, g = (np.asarray(a, dtype=np.float64) for a in (x, k, g))
+    out, gx, gk = np.zeros(g.shape), np.zeros(x.shape), np.zeros(k.shape)
+    for i in range(g.shape[2]):
+        for j in range(g.shape[3]):
+            win = (slice(None), slice(None),
+                   slice(i * stride, i * stride + 3), slice(j * stride, j * stride + 3))
+            out[:, :, i, j] = np.einsum("ncuv,fcuv->nf", x[win], k)
+            gx[win] += np.einsum("nf,fcuv->ncuv", g[:, :, i, j], k)
+            gk += np.einsum("nf,ncuv->fcuv", g[:, :, i, j], x[win])
+    return out, gx, gk
+
+
+def _conv_transpose2d_loop(x, k, g, stride):
+    """Explicit-loop float64 conv_transpose2d, as _conv2d_loop."""
+    x, k, g = (np.asarray(a, dtype=np.float64) for a in (x, k, g))
+    out, gx, gk = np.zeros(g.shape), np.zeros(x.shape), np.zeros(k.shape)
+    for i in range(x.shape[2]):
+        for j in range(x.shape[3]):
+            win = (slice(None), slice(None),
+                   slice(i * stride, i * stride + 3), slice(j * stride, j * stride + 3))
+            out[win] += np.einsum("nf,fcuv->ncuv", x[:, :, i, j], k)
+            gx[:, :, i, j] = np.einsum("ncuv,fcuv->nf", g[win], k)
+            gk += np.einsum("nf,ncuv->fcuv", x[:, :, i, j], g[win])
+    return out, gx, gk
+
+
+def _input(rng, shape, dtype, view):
+    """A random input; ``view`` makes it a strided, offset slice of a larger array."""
+    if not view:
+        return rng.standard_normal(shape).astype(dtype)
+    n, c, h, w = shape
+    return rng.standard_normal((n, 2 * c, h + 1, w)).astype(dtype)[:, ::2, 1:, :]
+
+
+# (x shape, kernel shape, stride, output_padding): H != W, odd and even sizes,
+# 3 and 32 channels
+CONV_CASES = [((2, 3, 9, 8), (4, 3, 3, 3), 2, None),
+              ((2, 3, 8, 9), (4, 3, 3, 3), 1, None),
+              ((1, 32, 7, 10), (32, 32, 3, 3), 2, None),
+              ((1, 32, 6, 5), (3, 32, 3, 3), 1, None)]
+CONV_T_CASES = [((2, 4, 5, 4), (4, 3, 3, 3), 2, 1),
+                ((2, 4, 4, 3), (4, 3, 3, 3), 2, 0),
+                ((2, 4, 3, 4), (4, 3, 3, 3), 1, 0),
+                ((1, 32, 4, 3), (32, 32, 3, 3), 2, 1),
+                ((1, 3, 5, 6), (3, 32, 3, 3), 1, 0)]
+
+
+def _case_id(case):
+    x_shape, _, stride, output_padding = case
+    op = "conv2d" if output_padding is None else f"conv_transpose2d_op{output_padding}"
+    return f"{op}-{'x'.join(map(str, x_shape))}-s{stride}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("view", [False, True], ids=["contiguous", "view"])
+@pytest.mark.parametrize("case", CONV_CASES + CONV_T_CASES, ids=_case_id)
+def test_conv_matches_loop_oracle(case, view, dtype):
+    x_shape, k_shape, stride, output_padding = case
+    rng = np.random.default_rng(0)
+    x = Tensor(_input(rng, x_shape, dtype, view), requires_grad=True)
+    k = Tensor(rng.standard_normal(k_shape).astype(dtype), requires_grad=True)
+    assert x.data.flags.c_contiguous != view
+    if output_padding is None:
+        out, oracle = ad.conv2d(x, k, stride), _conv2d_loop
+    else:
+        out, oracle = ad.conv_transpose2d(x, k, stride, output_padding), _conv_transpose2d_loop
+    g = rng.standard_normal(out.shape).astype(dtype)
+    out.backward(g)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    for got, want in zip((out.data, x.grad, k.grad), oracle(x.data, k.data, g, stride)):
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("case", [CONV_CASES[0], CONV_T_CASES[0]], ids=_case_id)
+def test_conv_skips_input_gradient_nobody_needs(case):
+    """An input without requires_grad gets None from the backward closure,
+    and the kernel gradient is bitwise the same as when it is computed."""
+    x_shape, k_shape, stride, output_padding = case
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    k = Tensor(rng.standard_normal(k_shape).astype(np.float32), requires_grad=True)
+    grads = []
+    for needs in (False, True):
+        xt = Tensor(x, requires_grad=needs)
+        if output_padding is None:
+            out = ad.conv2d(xt, k, stride)
+        else:
+            out = ad.conv_transpose2d(xt, k, stride, output_padding)
+        g = np.random.default_rng(2).standard_normal(out.shape).astype(np.float32)
+        grads.append(out.node.backward_fn(g))
+    assert grads[0][0] is None and grads[1][0].shape == x_shape
+    np.testing.assert_array_equal(grads[0][1], grads[1][1])
+
+
 class TestAdam:
     def test_first_step_is_minus_lr(self):
         p = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)

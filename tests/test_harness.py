@@ -1,6 +1,8 @@
 """Experiment harness: config, metrics, checkpoints, plotting, CLI, trainer."""
 
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -328,6 +330,33 @@ class TestTrainer:
         pre = read_metrics(os.path.join(out, "pretrain_metrics.csv"))
         assert pre and all(r["kind"] == "train" for r in pre)
         assert os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+class TestCompareRuns:
+    SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "compare_runs.py")
+
+    def run_tool(self, a, b):
+        return subprocess.run([sys.executable, self.SCRIPT, a, b],
+                              capture_output=True, text=True, timeout=120)
+
+    def test_same_seed_identical_other_seed_differs(self, tmp_path):
+        dirs = {}
+        for name, seed in (("a", 1), ("b", 1), ("c", 2)):
+            dirs[name] = str(tmp_path / name)
+            train(tiny_cfg(seed=seed, **{"pretrain.mode": "random", "pretrain.steps": 15}),
+                  dirs[name])
+        same = self.run_tool(dirs["a"], dirs["b"])
+        assert same.returncode == 0, same.stdout + same.stderr
+        assert "metrics.csv: identical" in same.stdout
+        assert "pretrain_metrics.csv: identical" in same.stdout
+        assert "arrays, 0 differ;" in same.stdout and "meta entries, 0 differ;" in same.stdout
+
+        other = self.run_tool(dirs["a"], dirs["c"])
+        assert other.returncode == 1, other.stdout + other.stderr
+        assert "metrics.csv: differs" in other.stdout
+        assert "first differing row 1:" in other.stdout
+        assert "srl_loss: 3 rows differ, largest relative difference" in other.stdout
+        assert "arrays, 0 differ;" not in other.stdout
 
 
 class TestCli:

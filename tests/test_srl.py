@@ -32,11 +32,32 @@ class TestEncoder:
         assert z.shape == (4, Z)
         assert np.all(np.abs(z.data) <= 1.0)
 
-    def test_detach_blocks_gradient(self):
+    def test_detach_blocks_gradient(self, monkeypatch):
         enc = Encoder(np.random.default_rng(0), 3, CROP, Z)
+        nodes = []
+        node = ad._Node
+
+        def counted(*args):
+            nodes.append(args)
+            return node(*args)
+
+        monkeypatch.setattr(ad, "_Node", counted)
         z = enc(Tensor(batch(2)), detach=True)
+        assert z.node is None and not nodes     # no tape was built
+        np.testing.assert_array_equal(z.data, enc(Tensor(batch(2))).data)
         ad.reduce_sum(ad.square(z)).backward()
         assert all(p.grad is None for p in enc.params().values())
+
+    def test_param_grads_do_not_depend_on_obs_requiring_grad(self):
+        grads = []
+        for needs in (False, True):
+            enc = Encoder(np.random.default_rng(0), 3, CROP, Z)
+            obs = Tensor(batch(4), requires_grad=needs)
+            ad.reduce_sum(ad.square(enc(obs))).backward()
+            assert (obs.grad is not None) == needs
+            grads.append({name: p.grad for name, p in enc.params().items()})
+        for name, g in grads[0].items():
+            np.testing.assert_array_equal(g, grads[1][name])
 
 
 class TestRae:
