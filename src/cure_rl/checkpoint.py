@@ -1,14 +1,24 @@
 """Versioned binary checkpoints.
 
-Layout: magic, format version, config hash, named little-endian array
-records, then a JSON metadata blob (RNG states, counters, scalars). Loading
-parses the whole file before touching any state, so a corrupt or truncated
-checkpoint is rejected cleanly.
+Layout (format ``VERSION`` 1, little-endian): the 8 magic bytes, the version
+(``<I``), the config hash (``<H`` length + UTF-8), the array count (``<I``),
+then one record per array in name order -- name (``<H`` length + UTF-8),
+dtype code and ndim (``<BB``), each dimension (``<I``), the C-order data --
+and last the JSON metadata blob (``<Q`` length + UTF-8: RNG states, counters,
+scalars).
+
+Arrays are streamed: ``save`` writes each one from its own memory and
+``load`` reads each one straight into a fresh ``np.empty`` array, so neither
+copies the file or an array through ``bytes``. A load therefore holds at most
+one copy of the arrays beside the caller's live state. ``load`` parses and
+checks the whole file before returning, so a caller that restores state only
+from its result never applies a corrupt or truncated checkpoint.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -42,15 +52,16 @@ def save(path: str, config_hash: str, arrays: dict, meta: dict):
                 arr = np.asarray(arrays[name])
                 code = _DTYPE_CODES.get(arr.dtype)
                 if code is None:
-                    arr = arr.astype(np.float32)
-                    code = _DTYPE_CODES[arr.dtype]
+                    raise CheckpointError(
+                        f"{path}: array {name!r} has dtype {arr.dtype}; a checkpoint "
+                        f"stores only {', '.join(str(d) for d in _DTYPE_CODES)}")
                 name_b = name.encode()
                 f.write(struct.pack("<H", len(name_b)))
                 f.write(name_b)
                 f.write(struct.pack("<BB", code, arr.ndim))
                 for d in arr.shape:
                     f.write(struct.pack("<I", d))
-                f.write(np.ascontiguousarray(arr).tobytes())
+                f.write(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
             meta_b = json.dumps(meta, sort_keys=True).encode()
             f.write(struct.pack("<Q", len(meta_b)))
             f.write(meta_b)
@@ -62,55 +73,78 @@ def save(path: str, config_hash: str, arrays: dict, meta: dict):
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.pos = 0
+    """Reads a checkpoint's fields in order from an open file.
+
+    Every read is checked against the file's size first, so a corrupt length
+    or shape raises instead of allocating, and a short read raises too.
+    """
+
+    def __init__(self, f, path: str):
+        self.f = f
         self.path = path
+        self.size = os.fstat(f.fileno()).st_size
+        self.pos = 0
+
+    def _advance(self, n: int):
+        if self.pos + n > self.size:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        self.pos += n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+        self._advance(n)
+        out = self.f.read(n)
+        if len(out) != n:
             raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
         return out
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{self.path}: corrupt {what}: {e}") from e
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype: np.dtype, shape: tuple) -> np.ndarray:
+        nbytes = math.prod(shape) * dtype.itemsize  # Python ints: no overflow on corrupt dims
+        self._advance(nbytes)
+        arr = np.empty(shape, dtype=dtype)
+        if self.f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        return arr
 
 
 def load(path: str, expected_hash: str | None = None):
     """Read and validate a checkpoint; returns (arrays, meta, config_hash)."""
     with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob, path)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
-    (version,) = r.unpack("<I")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: format version {version}, expected {VERSION}")
-    (hash_len,) = r.unpack("<H")
-    file_hash = r.take(hash_len).decode()
-    if expected_hash is not None and file_hash != expected_hash:
-        raise CheckpointError(
-            f"{path}: config hash mismatch (checkpoint {file_hash[:12]}..., "
-            f"current config {expected_hash[:12]}...)")
-    (n_arrays,) = r.unpack("<I")
-    arrays = {}
-    for _ in range(n_arrays):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
-        code, ndim = r.unpack("<BB")
-        if code not in _DTYPES:
-            raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
-        shape = tuple(r.unpack("<I")[0] for _ in range(ndim))
-        dtype = np.dtype(_DTYPES[code])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        arrays[name] = np.frombuffer(r.take(nbytes), dtype=dtype).reshape(shape).copy()
-    (meta_len,) = r.unpack("<Q")
-    try:
-        meta = json.loads(r.take(meta_len).decode())
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"{path}: corrupt metadata block: {e}") from e
-    if r.pos != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - r.pos} trailing bytes")
+        r = _Reader(f, path)
+        if r.take(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
+        (version,) = r.unpack("<I")
+        if version != VERSION:
+            raise CheckpointError(f"{path}: format version {version}, expected {VERSION}")
+        (hash_len,) = r.unpack("<H")
+        file_hash = r.text(hash_len, "config hash")
+        if expected_hash is not None and file_hash != expected_hash:
+            raise CheckpointError(
+                f"{path}: config hash mismatch (checkpoint {file_hash[:12]}..., "
+                f"current config {expected_hash[:12]}...)")
+        (n_arrays,) = r.unpack("<I")
+        arrays = {}
+        for _ in range(n_arrays):
+            (name_len,) = r.unpack("<H")
+            name = r.text(name_len, "array name")
+            code, ndim = r.unpack("<BB")
+            if code not in _DTYPES:
+                raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
+            shape = r.unpack(f"<{ndim}I")
+            arrays[name] = r.array(np.dtype(_DTYPES[code]), shape)
+        (meta_len,) = r.unpack("<Q")
+        try:
+            meta = json.loads(r.text(meta_len, "metadata block"))
+        except json.JSONDecodeError as e:
+            raise CheckpointError(f"{path}: corrupt metadata block: {e}") from e
+        if r.pos != r.size:
+            raise CheckpointError(f"{path}: {r.size - r.pos} trailing bytes")
     return arrays, meta, file_hash

@@ -99,4 +99,4 @@ def load_param_data(params: dict, arrays: dict, prefix: str = ""):
         src = arrays[prefix + name]
         if src.shape != p.data.shape:
             raise ValueError(f"parameter {name}: shape {src.shape} != {p.data.shape}")
-        p.data = src.astype(p.data.dtype).copy()
+        p.data = src.astype(p.data.dtype)

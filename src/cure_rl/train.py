@@ -389,7 +389,7 @@ class Trainer:
     def load_checkpoint(self, path: str):
         arrays, meta, _ = ckpt.load(path, expected_hash=self.hash)
         for k, p in self._all_params().items():
-            p.data = arrays[f"param/{k}"].astype(p.data.dtype).copy()
+            p.data = arrays[f"param/{k}"].astype(p.data.dtype)
         for prefix, opt in self._optimizers().items():
             opt.import_arrays(prefix, arrays, meta["opt_t"][prefix])
         self.buffer.import_arrays(arrays, meta["buffer_cursor"], meta["buffer_count"])

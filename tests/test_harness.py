@@ -1,8 +1,12 @@
 """Experiment harness: config, metrics, checkpoints, plotting, CLI, trainer."""
 
+import itertools
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -150,6 +154,19 @@ class TestMetrics:
         assert agg.flush()["srl"] == 0.0
 
 
+def mixed_arrays():
+    """One array of every stored dtype, plus 0-d, empty and strided inputs."""
+    return {
+        "f4": np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3),
+        "f8": np.array([np.pi, -0.0, np.inf, 1e-300, -7.25]),
+        "i8": np.array([[2**62, -1], [0, -2**63]], dtype=np.int64),
+        "u1": np.arange(32, dtype=np.uint8).reshape(4, 4, 2),
+        "scalar": np.array(3.5),
+        "empty": np.zeros((0, 3), dtype=np.float32),
+        "strided": np.arange(24, dtype=np.float32).reshape(4, 6)[:, ::2].T,
+    }
+
+
 class TestCheckpointFormat:
     def _save(self, tmp_path, arrays=None, meta=None, h="ab" * 32):
         path = str(tmp_path / "x.ckpt")
@@ -197,6 +214,90 @@ class TestCheckpointFormat:
         with pytest.raises(Exception):
             ckpt.save(path, "ab" * 32, {"w": object()}, {})
         assert open(path, "rb").read() == good
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.bool_, np.float16])
+    def test_unsupported_dtype_rejected(self, tmp_path, dtype):
+        # an unlisted dtype is an error, not a silent cast to float32
+        path = str(tmp_path / "x.ckpt")
+        arrays = {"ok": np.zeros(2, dtype=np.float32), "bad": np.ones(3, dtype=dtype)}
+        with pytest.raises(ckpt.CheckpointError, match=f"'bad'.*{np.dtype(dtype)}"):
+            ckpt.save(path, "ab" * 32, arrays, {})
+        assert os.listdir(tmp_path) == []
+
+    def test_mixed_roundtrip_is_bitwise(self, tmp_path):
+        src = mixed_arrays()
+        arrays, _, _ = ckpt.load(self._save(tmp_path, src))
+        assert sorted(arrays) == sorted(src)
+        for name, a in src.items():
+            out = arrays[name]
+            assert out.dtype == a.dtype and out.shape == a.shape, name
+            assert out.tobytes() == a.tobytes(), name
+            assert out.flags.writeable and out.flags.c_contiguous, name
+        for a, b in itertools.combinations(arrays.values(), 2):
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("size_known", [True, False])
+    def test_every_prefix_rejected(self, tmp_path, monkeypatch, size_known):
+        path = self._save(tmp_path, mixed_arrays())
+        blob = open(path, "rb").read()
+        if not size_known:
+            # report a larger file, so only the short-read checks can catch a cut
+            real_fstat = os.fstat
+            monkeypatch.setattr(ckpt.os, "fstat", lambda fd: types.SimpleNamespace(
+                st_size=real_fstat(fd).st_size + len(blob)))
+        for n in range(len(blob)):
+            with open(path, "wb") as f:
+                f.write(blob[:n])
+            with pytest.raises(ckpt.CheckpointError, match="truncated"):
+                ckpt.load(path)
+
+    def test_corrupt_shape_rejected_before_allocating(self, tmp_path):
+        path = self._save(tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        dim = blob.index(b"w") + 3  # after the name and the dtype code and ndim bytes
+        blob[dim:dim + 4] = struct.pack("<I", 2**32 - 1)  # a 16 GB float32 array
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ckpt.CheckpointError, match="truncated"):
+            ckpt.load(path)
+
+    @pytest.mark.parametrize("field,junk", [("metadata", b"{"), ("metadata", b"\xff"),
+                                            ("array name", b"\xff")])
+    def test_corrupt_text_rejected(self, tmp_path, field, junk):
+        path = self._save(tmp_path, meta={"phase": "main"})
+        blob = open(path, "rb").read()
+        i = blob.index(b"w") if field == "array name" else len(blob) - 2
+        open(path, "wb").write(blob[:i] + junk + blob[i + 1:])
+        with pytest.raises(ckpt.CheckpointError, match=f"corrupt {field}"):
+            ckpt.load(path)
+
+    def test_layout_matches_documented_encoding(self, tmp_path):
+        h = "cd" * 32
+        a = np.array([[1.5, -2.0, 0.25]], dtype=np.float32)
+        b = np.array([7, -8], dtype=np.int64)
+        meta = {"z": [1, 2], "a": "x"}
+        path = self._save(tmp_path, {"b": b, "a": a}, meta, h)
+        meta_b = b'{"a": "x", "z": [1, 2]}'
+        expected = (b"CURERLCK" + struct.pack("<I", 1)
+                    + struct.pack("<H", 64) + h.encode()
+                    + struct.pack("<I", 2)
+                    + struct.pack("<H", 1) + b"a" + struct.pack("<BB", 0, 2)
+                    + struct.pack("<II", 1, 3) + struct.pack("<3f", 1.5, -2.0, 0.25)
+                    + struct.pack("<H", 1) + b"b" + struct.pack("<BB", 2, 1)
+                    + struct.pack("<I", 2) + struct.pack("<2q", 7, -8)
+                    + struct.pack("<Q", len(meta_b)) + meta_b)
+        assert open(path, "rb").read() == expected
+
+    def test_load_holds_one_copy_of_the_arrays(self, tmp_path):
+        payload = 32 * 2**20
+        path = self._save(tmp_path, {"w": np.ones(payload // 4, dtype=np.float32)})
+        tracemalloc.start()
+        try:
+            arrays, _, _ = ckpt.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arrays["w"].nbytes == payload
+        assert peak < 1.5 * payload, f"load peaked at {peak / payload:.2f}x the payload"
 
 
 class TestPlotting:
