@@ -6,8 +6,10 @@
 ``metrics.csv`` and ``pretrain_metrics.csv`` are compared byte for byte. When
 one differs, the first differing row and the largest relative difference in
 each column are printed. ``checkpoint.ckpt`` is compared array by array
-(dtype, shape and bytes) and entry by entry in its metadata. Exits 0 when
-every file present in either directory is identical, 1 otherwise.
+(dtype, shape and bytes) and entry by entry in its metadata; a checkpoint
+either side cannot load (a corrupt file or another format version) is
+reported as a difference. Exits 0 when every file present in either
+directory is identical, 1 otherwise.
 """
 
 import argparse
@@ -66,8 +68,11 @@ def csv_report(a: bytes, b: bytes) -> list:
 
 def compare_checkpoints(path_a: str, path_b: str):
     """(identical, lines) for two checkpoints: arrays, metadata, config hash."""
-    arrays_a, meta_a, hash_a = checkpoint.load(path_a)
-    arrays_b, meta_b, hash_b = checkpoint.load(path_b)
+    try:
+        arrays_a, meta_a, hash_a = checkpoint.load(path_a)
+        arrays_b, meta_b, hash_b = checkpoint.load(path_b)
+    except checkpoint.CheckpointError as e:
+        return False, [f"cannot compare: {e}"]
     names = sorted(set(arrays_a) | set(arrays_b))
     bad_arrays = []
     for name in names:

@@ -10,7 +10,6 @@ oracles can run at full precision.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -242,13 +241,6 @@ def matmul(a, b) -> Tensor:
                  lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("transpose expects a 2-d tensor")
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def dense(x, w, b) -> Tensor:
     """Affine map x @ w + b with broadcast bias."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
@@ -317,13 +309,6 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     y = np.exp(a.data)
     return _make(y, (a,), lambda g: (g * y,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0):
-        raise ValueError("log: input must be strictly positive")
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def softplus(a) -> Tensor:
@@ -545,8 +530,35 @@ class NonFiniteGradientError(RuntimeError):
         self.name = name
 
 
+class ParamGroup:
+    """Named parameter tensors whose values are views of one flat buffer.
+
+    Parameter values change only through ``set``, which replaces the buffer
+    and rebinds every tensor's ``.data`` to a view of the new one. Nothing is
+    written into a buffer in place, so an update keeps the dtype its
+    arithmetic gives (float64 when an operand is float64).
+    """
+
+    def __init__(self, name: str, params: dict, requires_grad: bool = True):
+        self.name = name
+        self.params = dict(params)
+        for p in self.params.values():
+            p.requires_grad = requires_grad
+        self.data = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        self.set(self.data)
+
+    def set(self, flat: np.ndarray):
+        if flat.shape != self.data.shape:
+            raise ValueError(f"group {self.name}: {flat.shape} values, expected {self.data.shape}")
+        self.data = flat
+        i = 0
+        for p in self.params.values():
+            p.data = flat[i:i + p.size].reshape(p.shape)
+            i += p.size
+
+
 class AdamState:
-    """First/second moment buffers for one parameter."""
+    """First/second moment buffers for one parameter group."""
 
     __slots__ = ("m", "v")
 
@@ -556,41 +568,40 @@ class AdamState:
 
 
 class Adam:
-    """Standard Adam over a named parameter dict."""
+    """Standard Adam over parameter groups; ``params`` maps every name to its tensor."""
 
-    def __init__(self, params: dict, lr: float,
+    def __init__(self, groups, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = dict(params)
+        self.groups = list(groups)
+        self.params = {n: p for g in self.groups for n, p in g.params.items()}
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.state = {name: AdamState(p.shape, p.dtype) for name, p in self.params.items()}
+        self.state = {g.name: AdamState(g.data.shape, g.data.dtype) for g in self.groups}
 
     def step(self):
         """Apply one bias-corrected update from each parameter's .grad."""
-        for name, p in self.params.items():
-            g = p.grad
-            if g is not None and not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(name)
+        grads = []
+        for group in self.groups:
+            g = np.concatenate([np.zeros(p.size, p.dtype) if p.grad is None else p.grad.reshape(-1)
+                                for p in group.params.values()])
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradientError(next(
+                    n for n, p in group.params.items()
+                    if p.grad is not None and not np.all(np.isfinite(p.grad))))
+            grads.append(g)
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            st = self.state[name]
+        for group, g in zip(self.groups, grads):
+            st = self.state[group.name]
             st.m = self.beta1 * st.m + (1.0 - self.beta1) * g
             st.v = self.beta2 * st.v + (1.0 - self.beta2) * (g * g)
             m_hat = st.m / c1
             v_hat = st.v / c2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+            group.set(group.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
     # checkpoint support
     def export_arrays(self, prefix: str) -> dict:
@@ -654,5 +665,3 @@ def grad_check(f, tensors, h: float = 1e-3, sample: Optional[int] = None, seed: 
         worst = max(worst, float(np.max(np.abs(fd - an), initial=0.0) / scale))
     return worst
 
-
-LN2 = math.log(2.0)

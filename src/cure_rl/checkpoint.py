@@ -1,11 +1,17 @@
 """Versioned binary checkpoints.
 
-Layout (format ``VERSION`` 1, little-endian): the 8 magic bytes, the version
+Layout (format ``VERSION`` 2, little-endian): the 8 magic bytes, the version
 (``<I``), the config hash (``<H`` length + UTF-8), the array count (``<I``),
 then one record per array in name order -- name (``<H`` length + UTF-8),
 dtype code and ndim (``<BB``), each dimension (``<I``), the C-order data --
 and last the JSON metadata blob (``<Q`` length + UTF-8: RNG states, counters,
 scalars).
+
+A training run stores each parameter group's flat buffer as ``param/<group>``
+and each optimizer's moments as ``opt/<opt>/<group>/m`` and ``.../v``, one
+pair per group it steps; then the replay buffer's filled rows
+(``buffer/<field>``) and the environment's frame stack (``env/stack``).
+Version 1 stored one array per parameter tensor and is not read.
 
 Arrays are streamed: ``save`` writes each one from its own memory and
 ``load`` reads each one straight into a fresh ``np.empty`` array, so neither
@@ -26,7 +32,7 @@ import tempfile
 import numpy as np
 
 MAGIC = b"CURERLCK"
-VERSION = 1
+VERSION = 2
 
 _DTYPES = {0: "<f4", 1: "<f8", 2: "<i8", 3: "|u1"}
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}

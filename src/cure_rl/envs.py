@@ -31,7 +31,6 @@ class EnvSpec:
     frames: int = 3
     action_repeat: int = 4
     horizon: int = 1000
-    reward_type: str = "sparse"   # dense | sparse
     sparse_radius: float = 0.0
 
     def __post_init__(self):
@@ -359,24 +358,24 @@ class SpinnerEnv(LiteEnv):
 
 _TASKS = {
     "reacher_easy": dict(cls=ReacherEnv, action_dim=2, action_repeat=4,
-                         reward_type="sparse", sparse_radius=0.14,
+                         sparse_radius=0.14,
                          kwargs=dict(links=(0.5, 0.4), target_mode="disk")),
     "reacher_hard": dict(cls=ReacherEnv, action_dim=2, action_repeat=4,
-                         reward_type="sparse", sparse_radius=0.08,
+                         sparse_radius=0.08,
                          kwargs=dict(links=(0.5, 0.4), target_mode="disk")),
     "point_reacher": dict(cls=ReacherEnv, action_dim=2, action_repeat=4,
-                          reward_type="sparse", sparse_radius=0.1,
+                          sparse_radius=0.1,
                           kwargs=dict(links=(0.72, 0.7), target_mode="arena",
                                       reset_mode="home", gain=1.5, damp=5.0)),
     "cartpole_swingup": dict(cls=CartpoleSwingupEnv, action_dim=1, action_repeat=4,
-                             reward_type="dense", sparse_radius=0.0, kwargs={}),
+                             sparse_radius=0.0, kwargs={}),
     "ball_in_cup": dict(cls=BallInCupEnv, action_dim=2, action_repeat=4,
-                        reward_type="sparse", sparse_radius=0.09, kwargs={}),
+                        sparse_radius=0.09, kwargs={}),
     "finger_spin_lite": dict(cls=SpinnerEnv, action_dim=1, action_repeat=2,
-                             reward_type="dense", sparse_radius=0.0,
+                             sparse_radius=0.0,
                              kwargs=dict(mode="spin")),
     "finger_turn_lite": dict(cls=SpinnerEnv, action_dim=1, action_repeat=2,
-                             reward_type="sparse", sparse_radius=0.3,
+                             sparse_radius=0.3,
                              kwargs=dict(mode="turn")),
 }
 
@@ -396,7 +395,6 @@ def make_task(name: str, rng: np.random.Generator, *, render_size: int = 36,
         frames=frames,
         action_repeat=action_repeat or info["action_repeat"],
         horizon=horizon,
-        reward_type=info["reward_type"],
         sparse_radius=info["sparse_radius"],
     )
     return info["cls"](spec, rng, **info["kwargs"])

@@ -1,7 +1,7 @@
 """Parameterized layers built on the autodiff core.
 
-Every layer exposes ``params()`` returning a flat name -> Tensor dict so
-optimizers, target copies and checkpoints can address parameters uniformly.
+Every layer exposes ``params()`` returning a flat name -> Tensor dict, which
+``autodiff.ParamGroup`` gathers into one flat buffer per module.
 """
 
 from __future__ import annotations
@@ -92,11 +92,3 @@ def merge_params(*modules) -> dict:
             raise ValueError(f"duplicate parameter names: {sorted(dup)}")
         out.update(p)
     return out
-
-
-def load_param_data(params: dict, arrays: dict, prefix: str = ""):
-    for name, p in params.items():
-        src = arrays[prefix + name]
-        if src.shape != p.data.shape:
-            raise ValueError(f"parameter {name}: shape {src.shape} != {p.data.shape}")
-        p.data = src.astype(p.data.dtype)

@@ -109,16 +109,6 @@ class ReplayBuffer:
         self.count = int(count)
 
 
-def random_crop(obs: np.ndarray, out: int, rng: np.random.Generator) -> np.ndarray:
-    """Crop a (S, H, W) stack to (S, out, out); one offset for all frames."""
-    s, h, w = obs.shape
-    if out > h or out > w:
-        raise ValueError(f"crop size {out} exceeds observation size {h}x{w}")
-    i = int(rng.integers(0, h - out + 1))
-    j = int(rng.integers(0, w - out + 1))
-    return obs[:, i:i + out, j:j + out].copy()
-
-
 def random_crop_batch(obs: np.ndarray, out: int, rng: np.random.Generator) -> np.ndarray:
     b, s, h, w = obs.shape
     if out > h or out > w:

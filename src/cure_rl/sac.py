@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import ParamGroup, Tensor, no_grad
 from .layers import Dense, merge_params
 
 log = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
+LN2 = math.log(2.0)
 
 
 @dataclass
@@ -72,7 +73,7 @@ class GaussianActor:
         gauss = ad.reduce_sum(
             -0.5 * ad.square((u - mu) / std) - log_std - 0.5 * LOG_2PI, axis=1)
         correction = ad.reduce_sum(
-            2.0 * (ad.LN2 - u - ad.softplus(-2.0 * u)), axis=1)
+            2.0 * (LN2 - u - ad.softplus(-2.0 * u)), axis=1)
         return a, gauss - correction
 
     def act(self, z: Tensor, rng=None, deterministic: bool = False) -> np.ndarray:
@@ -107,7 +108,7 @@ class SacAgent:
     """One actor-critic-temperature bundle operating on encoder latents."""
 
     def __init__(self, rng, z_dim: int, action_dim: int, hp: SacHyperparams,
-                 name: str, encoder_params: dict | None = None):
+                 name: str, encoder: ParamGroup | None = None):
         self.name = name
         self.hp = hp
         self.action_dim = action_dim
@@ -118,21 +119,18 @@ class SacAgent:
         self.q2 = QFunction(rng, z_dim, action_dim, hp.hidden_dim, f"{name}.q2")
         self.tq1 = QFunction(rng, z_dim, action_dim, hp.hidden_dim, f"{name}.tq1")
         self.tq2 = QFunction(rng, z_dim, action_dim, hp.hidden_dim, f"{name}.tq2")
-        for src, dst in ((self.q1, self.tq1), (self.q2, self.tq2)):
-            sp, dp = src.params(), dst.params()
-            for n in sp:
-                tn = n.replace(".q", ".tq", 1)
-                dp[tn].data = sp[n].data.copy()
-                dp[tn].requires_grad = False
-        self.log_alpha = Tensor(np.array(math.log(hp.init_alpha), dtype=np.float32),
-                                requires_grad=True)
+        self.log_alpha = Tensor(np.array(math.log(hp.init_alpha), dtype=np.float32))
+        self.critic = ParamGroup(f"{name}.critic", merge_params(self.q1, self.q2))
+        self.target = ParamGroup(f"{name}.target", merge_params(self.tq1, self.tq2),
+                                 requires_grad=False)
+        self.target.set(self.critic.data.copy())
+        actor = ParamGroup(f"{name}.actor", self.actor.params())
+        alpha = ParamGroup(f"{name}.alpha", {f"{name}.log_alpha": self.log_alpha})
+        self.groups = [self.critic, self.target, actor, alpha]
 
-        critic_params = merge_params(self.q1, self.q2)
-        if encoder_params:
-            critic_params = merge_params(critic_params, encoder_params)
-        self.critic_opt = ad.Adam(critic_params, lr=hp.critic_lr)
-        self.actor_opt = ad.Adam(self.actor.params(), lr=hp.actor_lr)
-        self.alpha_opt = ad.Adam({f"{name}.log_alpha": self.log_alpha}, lr=hp.alpha_lr)
+        self.critic_opt = ad.Adam([self.critic] + ([encoder] if encoder else []), lr=hp.critic_lr)
+        self.actor_opt = ad.Adam([actor], lr=hp.actor_lr)
+        self.alpha_opt = ad.Adam([alpha], lr=hp.alpha_lr)
 
     @property
     def alpha(self) -> float:
@@ -182,16 +180,14 @@ class SacAgent:
         q = ad.minimum(self.q1(z, a), self.q2(z, a))
         actor_loss = ad.reduce_mean(self.alpha * logp - q)
         ad.zero_grads(self.actor_opt.params)
-        for p in self.critic_opt.params.values():
-            p.grad = None
+        ad.zero_grads(self.critic_opt.params)
         actor_loss.backward()
         try:
             self.actor_opt.step()
         except ad.NonFiniteGradientError as e:
             log.warning("%s: actor update skipped: %s", self.name, e)
         ad.zero_grads(self.actor_opt.params)
-        for p in self.critic_opt.params.values():
-            p.grad = None
+        ad.zero_grads(self.critic_opt.params)
 
         logp_const = Tensor(logp.data.copy())
         alpha_loss = ad.reduce_mean(
@@ -207,11 +203,7 @@ class SacAgent:
 
     def polyak(self, tau: float | None = None):
         tau = self.hp.critic_tau if tau is None else tau
-        for src, dst in ((self.q1, self.tq1), (self.q2, self.tq2)):
-            sp, dp = src.params(), dst.params()
-            for n, p in sp.items():
-                t = dp[n.replace(".q", ".tq", 1)]
-                t.data = tau * p.data + (1.0 - tau) * t.data
+        self.target.set(tau * self.critic.data + (1.0 - tau) * self.target.data)
 
     # -- acting --------------------------------------------------------------
     def act(self, encoder, obs: np.ndarray, rng=None, deterministic: bool = False) -> np.ndarray:
@@ -219,8 +211,5 @@ class SacAgent:
             z = encoder(Tensor(obs[None] if obs.ndim == 3 else obs))
         return self.actor.act(z, rng=rng, deterministic=deterministic)[0]
 
-    # -- checkpoint support ----------------------------------------------------
     def all_param_tensors(self) -> dict:
-        out = merge_params(self.actor, self.q1, self.q2, self.tq1, self.tq2)
-        out[f"{self.name}.log_alpha"] = self.log_alpha
-        return out
+        return {n: p for g in self.groups for n, p in g.params.items()}

@@ -19,7 +19,7 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, no_grad
+from .autodiff import ParamGroup, Tensor, no_grad
 from .layers import Conv3x3, ConvTranspose3x3, Dense, LayerNorm, merge_params
 
 log = logging.getLogger(__name__)
@@ -107,23 +107,22 @@ class SrlModel:
         self.key_tau = key_tau
         self.decoder_freq = max(1, decoder_freq)
         self.encoder = Encoder(rng, in_channels, crop, z_dim)
+        self.online = ParamGroup("encoder", self.encoder.params())
         self.decoder = None
         self.bilinear = None
         self.key_encoder = None
         if head == "rae":
             self.decoder = Decoder(rng, z_dim, in_channels, crop)
-            head_params = self.decoder.params()
+            head_group = ParamGroup("decoder", self.decoder.params())
         else:
             self.bilinear = Tensor(
-                rng.uniform(-1.0, 1.0, size=(z_dim, z_dim)).astype(np.float32) / np.sqrt(z_dim),
-                requires_grad=True)
+                rng.uniform(-1.0, 1.0, size=(z_dim, z_dim)).astype(np.float32) / np.sqrt(z_dim))
             self.key_encoder = Encoder(rng, in_channels, crop, z_dim, name="key_encoder")
-            for name, p in self.key_encoder.params().items():
-                p.data = self.encoder.params()[name.replace("key_encoder", "encoder")].data.copy()
-                p.requires_grad = False
-            head_params = {"bilinear.W": self.bilinear}
-        self.params = merge_params(self.encoder.params(), head_params)
-        self.opt = ad.Adam(self.params, lr=lr)
+            self.key = ParamGroup("key_encoder", self.key_encoder.params(), requires_grad=False)
+            self.key.set(self.online.data.copy())
+            head_group = ParamGroup("bilinear", {"bilinear.W": self.bilinear})
+        self.opt = ad.Adam([self.online, head_group], lr=lr)
+        self.groups = self.opt.groups + ([self.key] if self.key_encoder else [])
         self.updates = 0
 
     # -- losses ----------------------------------------------------------
@@ -189,35 +188,23 @@ class SrlModel:
             loss, errors = self.infonce_loss(anchor, positive)
         self.updates += 1
         if self.updates % self.decoder_freq == 0:
-            ad.zero_grads(self.params)
+            ad.zero_grads(self.opt.params)
             loss.backward()
             try:
                 self.opt.step()
             except ad.NonFiniteGradientError as e:
                 log.warning("SRL update skipped: %s", e)
-            ad.zero_grads(self.params)
+            ad.zero_grads(self.opt.params)
             if self.head == "contrastive":
                 self.ema_update_key()
         return errors
 
     def ema_update_key(self):
         tau = self.key_tau
-        online = self.encoder.params()
-        for name, p in self.key_encoder.params().items():
-            src = online[name.replace("key_encoder", "encoder")]
-            p.data = (1.0 - tau) * p.data + tau * src.data
+        self.key.set((1.0 - tau) * self.key.data + tau * self.online.data)
 
     def key_distance(self) -> float:
-        online = self.encoder.params()
-        total = 0.0
-        for name, p in self.key_encoder.params().items():
-            src = online[name.replace("key_encoder", "encoder")]
-            total += float(np.sum((p.data - src.data) ** 2))
-        return float(np.sqrt(total))
+        return float(np.sqrt(np.sum((self.key.data - self.online.data) ** 2)))
 
-    # -- checkpoint support --------------------------------------------------
     def all_param_tensors(self) -> dict:
-        out = dict(self.params)
-        if self.key_encoder is not None:
-            out.update(self.key_encoder.params())
-        return out
+        return {n: p for g in self.groups for n, p in g.params.items()}

@@ -98,14 +98,13 @@ class Trainer:
                             lambda_z=cfg.srl.lambda_z, lambda_theta=cfg.srl.lambda_theta,
                             key_tau=cfg.srl.key_tau, decoder_freq=cfg.srl.decoder_freq)
         task_hp = self._hyperparams(cfg.gamma)
-        enc_params = self.srl.encoder.params()
         self.task_agent = SacAgent(init_rng, cfg.srl.z_dim, self.action_dim, task_hp,
-                                   "task", encoder_params=enc_params)
+                                   "task", encoder=self.srl.online)
         self.curious_agent = None
         if cfg.cure.enabled:
             cure_hp = self._hyperparams(cfg.cure.gamma)
             self.curious_agent = SacAgent(init_rng, cfg.srl.z_dim, self.action_dim,
-                                          cure_hp, "cure", encoder_params=enc_params)
+                                          cure_hp, "cure", encoder=self.srl.online)
 
         self.buffer = ReplayBuffer(cfg.replay.capacity)
         self.agg = LossAggregator()
@@ -342,12 +341,9 @@ class Trainer:
         return total / episodes
 
     # -- checkpointing -----------------------------------------------------------
-    def _all_params(self) -> dict:
-        out = dict(self.srl.all_param_tensors())
-        out.update(self.task_agent.all_param_tensors())
-        if self.curious_agent is not None:
-            out.update(self.curious_agent.all_param_tensors())
-        return out
+    def param_groups(self) -> list:
+        agents = [a for a in (self.task_agent, self.curious_agent) if a is not None]
+        return self.srl.groups + [g for a in agents for g in a.groups]
 
     def _optimizers(self) -> dict:
         opts = {"opt/srl": self.srl.opt,
@@ -362,7 +358,7 @@ class Trainer:
 
     def save_checkpoint(self, path: str | None = None) -> str:
         path = path or os.path.join(self.out_dir, "checkpoint.ckpt")
-        arrays = {f"param/{k}": p.data for k, p in self._all_params().items()}
+        arrays = {f"param/{g.name}": g.data for g in self.param_groups()}
         for prefix, opt in self._optimizers().items():
             arrays.update(opt.export_arrays(prefix))
         arrays.update(self.buffer.export_arrays())
@@ -388,8 +384,8 @@ class Trainer:
 
     def load_checkpoint(self, path: str):
         arrays, meta, _ = ckpt.load(path, expected_hash=self.hash)
-        for k, p in self._all_params().items():
-            p.data = arrays[f"param/{k}"].astype(p.data.dtype)
+        for g in self.param_groups():
+            g.set(arrays[f"param/{g.name}"].astype(g.data.dtype))
         for prefix, opt in self._optimizers().items():
             opt.import_arrays(prefix, arrays, meta["opt_t"][prefix])
         self.buffer.import_arrays(arrays, meta["buffer_cursor"], meta["buffer_count"])

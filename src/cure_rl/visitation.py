@@ -12,18 +12,18 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import ExperimentConfig
 from .envs import make_task
-from .layers import load_param_data
-from .replay import center_crop, random_crop
+from .replay import augmented_views, center_crop
 from .sac import GaussianActor
 from .srl import Encoder, SrlModel
-from .autodiff import Tensor, no_grad
+from .autodiff import ParamGroup, Tensor, no_grad
 
 _VISIT_KEY_BASE = 2000
 
 
-def _load_arrays(path: str) -> dict:
+def _load_groups(path: str, groups):
     arrays, _, _ = ckpt.load(path, expected_hash=None)
-    return arrays
+    for g in groups:
+        g.set(arrays[f"param/{g.name}"].astype(g.data.dtype))
 
 
 def build_reference_srl(cfg: ExperimentConfig, checkpoint_path: str) -> SrlModel:
@@ -31,8 +31,7 @@ def build_reference_srl(cfg: ExperimentConfig, checkpoint_path: str) -> SrlModel
     rng = np.random.default_rng(0)
     model = SrlModel(rng, cfg.frames, cfg.crop, cfg.srl.z_dim, head=cfg.srl.head,
                      lambda_z=cfg.srl.lambda_z, lambda_theta=cfg.srl.lambda_theta)
-    arrays = _load_arrays(checkpoint_path)
-    load_param_data(model.all_param_tensors(), arrays, prefix="param/")
+    _load_groups(checkpoint_path, model.groups)
     return model
 
 
@@ -49,9 +48,8 @@ class CheckpointPolicy:
         self.actor = GaussianActor(rng, cfg.srl.z_dim, action_dim, cfg.hidden_dim,
                                    cfg.actor.log_std[0], cfg.actor.log_std[1],
                                    f"{agent}.actor")
-        arrays = _load_arrays(checkpoint_path)
-        load_param_data(self.encoder.params(), arrays, prefix="param/")
-        load_param_data(self.actor.params(), arrays, prefix="param/")
+        _load_groups(checkpoint_path, [ParamGroup("encoder", self.encoder.params()),
+                                       ParamGroup(f"{agent}.actor", self.actor.params())])
 
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         with no_grad():
@@ -85,8 +83,7 @@ def score_trajectories(cfg: ExperimentConfig, ref_srl: SrlModel, policy,
             if ref_srl.head == "rae":
                 e = ref_srl.srl_error(obs=center_crop(obs, cfg.crop)[None])
             else:
-                a = random_crop(obs, cfg.crop, crop_rng)[None]
-                p = random_crop(obs, cfg.crop, crop_rng)[None]
+                a, p = augmented_views(obs[None], cfg.crop, crop_rng)
                 # a batch of one has no negatives; score against itself + one shifted copy
                 e = ref_srl.srl_error(anchor=np.concatenate([a, p]),
                                       positive=np.concatenate([p, a]))[:1]

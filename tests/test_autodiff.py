@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cure_rl.autodiff as ad
-from cure_rl.autodiff import Adam, NonFiniteGradientError, Tensor, grad_check, no_grad
+from cure_rl.autodiff import Adam, NonFiniteGradientError, ParamGroup, Tensor, grad_check, no_grad
 
 
 def t(arr, rg=True):
@@ -245,21 +245,21 @@ def test_conv_skips_input_gradient_nobody_needs(case):
 class TestAdam:
     def test_first_step_is_minus_lr(self):
         p = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-        opt = Adam({"p": p}, lr=1e-3)
+        opt = Adam([ParamGroup("p", {"p": p})], lr=1e-3)
         p.grad = np.ones(1, dtype=np.float32)
         opt.step()
         np.testing.assert_allclose(p.data, [-1e-3], rtol=1e-5)
 
     def test_zero_gradient_keeps_params(self):
         p = Tensor(np.full(3, 7.0, dtype=np.float32), requires_grad=True)
-        opt = Adam({"p": p}, lr=1e-2)
+        opt = Adam([ParamGroup("p", {"p": p})], lr=1e-2)
         p.grad = np.zeros(3, dtype=np.float32)
         opt.step()
         np.testing.assert_array_equal(p.data, np.full(3, 7.0, dtype=np.float32))
 
     def test_nonfinite_gradient_rejected_with_name(self):
         p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-        opt = Adam({"layer.w": p}, lr=1e-3)
+        opt = Adam([ParamGroup("layer", {"layer.w": p})], lr=1e-3)
         p.grad = np.array([1.0, np.nan], dtype=np.float32)
         with pytest.raises(NonFiniteGradientError, match="layer.w"):
             opt.step()
@@ -269,7 +269,7 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(9)
             p = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
-            opt = Adam({"p": p}, lr=1e-3)
+            opt = Adam([ParamGroup("p", {"p": p})], lr=1e-3)
             for _ in range(10):
                 p.grad = (p.data * 2.0).astype(np.float32)
                 opt.step()
@@ -279,14 +279,14 @@ class TestAdam:
 
     def test_export_import_roundtrip(self):
         p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        opt = Adam({"p": p}, lr=1e-3)
+        opt = Adam([ParamGroup("p", {"p": p})], lr=1e-3)
         p.grad = np.ones(3, dtype=np.float32)
         opt.step()
         arrays = opt.export_arrays("opt")
         q = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        opt2 = Adam({"p": q}, lr=1e-3)
+        opt2 = Adam([ParamGroup("p", {"p": q})], lr=1e-3)
         opt2.import_arrays("opt", arrays, opt.t)
-        q.data = p.data.copy()
+        q.data[...] = p.data
         p.grad = q.grad = np.full(3, 0.5, dtype=np.float32)
         opt.step()
         opt2.step()

@@ -17,16 +17,16 @@ class TestEnvSpec:
     def test_rejects_small_render(self):
         with pytest.raises(ValueError):
             EnvSpec(name="x", action_dim=1, render_size=8, frames=3,
-                    action_repeat=1, horizon=100, reward_type="dense")
+                    action_repeat=1, horizon=100)
 
     def test_rejects_indivisible_horizon(self):
         with pytest.raises(ValueError):
             EnvSpec(name="x", action_dim=1, render_size=20, frames=3,
-                    action_repeat=4, horizon=101, reward_type="dense")
+                    action_repeat=4, horizon=101)
 
     def test_episode_len(self):
         s = EnvSpec(name="x", action_dim=1, render_size=20, frames=3,
-                    action_repeat=4, horizon=100, reward_type="dense")
+                    action_repeat=4, horizon=100)
         assert s.episode_len == 25
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -195,6 +196,14 @@ class TestCheckpointFormat:
         with pytest.raises(ckpt.CheckpointError):
             ckpt.load(path)
 
+    def test_version_1_rejected(self, tmp_path):
+        path = self._save(tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        blob[8:12] = struct.pack("<I", 1)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ckpt.CheckpointError, match="version 1, expected 2"):
+            ckpt.load(path)
+
     def test_hash_mismatch_rejected(self, tmp_path):
         path = self._save(tmp_path)
         with pytest.raises(ckpt.CheckpointError, match="hash"):
@@ -277,7 +286,7 @@ class TestCheckpointFormat:
         meta = {"z": [1, 2], "a": "x"}
         path = self._save(tmp_path, {"b": b, "a": a}, meta, h)
         meta_b = b'{"a": "x", "z": [1, 2]}'
-        expected = (b"CURERLCK" + struct.pack("<I", 1)
+        expected = (b"CURERLCK" + struct.pack("<I", 2)
                     + struct.pack("<H", 64) + h.encode()
                     + struct.pack("<I", 2)
                     + struct.pack("<H", 1) + b"a" + struct.pack("<BB", 0, 2)
@@ -416,6 +425,23 @@ class TestTrainer:
         with pytest.raises(RuntimeError, match="main step"):
             tr.run_main()
 
+    @pytest.mark.parametrize("head", ["rae", "contrastive"])
+    def test_params_stay_views_of_their_group(self, tmp_path, head):
+        def assert_views(tr):
+            for g in tr.param_groups():
+                for p in g.params.values():
+                    assert np.shares_memory(p.data, g.data), f"{g.name}: detached tensor"
+
+        cfg = tiny_cfg(steps=12, **{"srl.head": head})
+        tr = Trainer(cfg, str(tmp_path))
+        tr.run_main()
+        assert tr.task_agent.critic_opt.t > 0 and tr.srl.opt.t > 0
+        assert_views(tr)
+        path = tr.save_checkpoint()
+        tr2 = Trainer(cfg, str(tmp_path))
+        tr2.load_checkpoint(path)
+        assert_views(tr2)
+
     def test_resume_from_pretrain_checkpoint_rejected(self, tmp_path):
         cfg = tiny_cfg(**{"pretrain.mode": "random", "pretrain.steps": 15})
         tr = Trainer(cfg, str(tmp_path))
@@ -458,6 +484,20 @@ class TestCompareRuns:
         assert "first differing row 1:" in other.stdout
         assert "srl_loss: 3 rows differ, largest relative difference" in other.stdout
         assert "arrays, 0 differ;" not in other.stdout
+
+    def test_unloadable_checkpoint_reported_as_difference(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        train(tiny_cfg(), a)
+        shutil.copytree(a, b)
+        path = os.path.join(b, "checkpoint.ckpt")
+        blob = bytearray(open(path, "rb").read())
+        blob[8:12] = struct.pack("<I", 1)
+        open(path, "wb").write(bytes(blob))
+        out = self.run_tool(a, b)
+        assert out.returncode == 1, out.stdout + out.stderr
+        assert "metrics.csv: identical" in out.stdout
+        assert "checkpoint.ckpt: cannot compare:" in out.stdout
+        assert "format version 1, expected 2" in out.stdout
 
 
 class TestCli:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cure_rl.replay import (ReplayBuffer, augmented_views, center_crop,
-                            random_crop, random_crop_batch)
+                            random_crop_batch)
 
 OBS_SHAPE = (3, 12, 12)
 
@@ -100,14 +100,14 @@ class TestCrops:
         obs = np.zeros((3, 12, 12), dtype=np.float32)
         for f in range(3):
             obs[f] = np.arange(144, dtype=np.float32).reshape(12, 12)
-        out = random_crop(obs, 8, np.random.default_rng(0))
+        out = random_crop_batch(obs[None], 8, np.random.default_rng(0))[0]
         assert out.shape == (3, 8, 8)
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[1], out[2])
 
     def test_crop_is_a_window_of_source(self):
         obs = np.arange(3 * 144, dtype=np.float32).reshape(3, 12, 12)
-        out = random_crop(obs, 8, np.random.default_rng(1))
+        out = random_crop_batch(obs[None], 8, np.random.default_rng(1))[0]
         found = any(
             np.array_equal(out, obs[:, i:i + 8, j:j + 8])
             for i in range(5) for j in range(5))
@@ -116,11 +116,12 @@ class TestCrops:
     def test_crop_rejects_too_large(self):
         obs = np.zeros((3, 12, 12), dtype=np.float32)
         with pytest.raises(ValueError):
-            random_crop(obs, 13, np.random.default_rng(0))
+            random_crop_batch(obs[None], 13, np.random.default_rng(0))
 
     def test_full_size_crop_is_identity(self):
         obs = np.random.default_rng(0).random((3, 12, 12)).astype(np.float32)
-        np.testing.assert_array_equal(random_crop(obs, 12, np.random.default_rng(0)), obs)
+        np.testing.assert_array_equal(
+            random_crop_batch(obs[None], 12, np.random.default_rng(0))[0], obs)
 
     def test_center_crop(self):
         obs = np.arange(3 * 144, dtype=np.float32).reshape(3, 12, 12)

@@ -97,9 +97,9 @@ class TestCriticAndTargets:
         ag = agent()
         for online, target in ((ag.q1, ag.tq1), (ag.q2, ag.tq2)):
             for p in online.params().values():
-                p.data = np.full_like(p.data, 2.0)
+                p.data[...] = 2.0
             for p in target.params().values():
-                p.data = np.zeros_like(p.data)
+                p.data[...] = 0.0
         ag.polyak(0.25)
         for target in (ag.tq1, ag.tq2):
             for p in target.params().values():
@@ -132,7 +132,7 @@ class TestCriticAndTargets:
         rng = np.random.default_rng(0)
         enc = Encoder(np.random.default_rng(1), 3, CROP, Z)
         ag = SacAgent(np.random.default_rng(2), Z, ACT, hp(), "task",
-                      encoder_params=enc.params())
+                      encoder=ad.ParamGroup("encoder", enc.params()))
         w0 = enc.fc.w.data.copy()
         obs = Tensor(rng.random((8, 3, CROP, CROP)).astype(np.float32))
         with ad.no_grad():
@@ -167,7 +167,7 @@ class TestActorAlpha:
     def test_polyak_moves_targets_toward_online(self):
         ag = agent(5)
         for p in ag.q1.params().values():
-            p.data = p.data + 1.0
+            p.data += 1.0
         before = ag.tq1.l1.w.data.copy()
         ag.polyak()
         after = ag.tq1.l1.w.data

@@ -124,7 +124,7 @@ class TestContrastive:
     def test_key_ema_tracks_online_encoder(self):
         m = model(head="contrastive", key_tau=0.5)
         for p in m.encoder.params().values():
-            p.data = p.data + 0.1
+            p.data += 0.1
         d0 = m.key_distance()
         m.ema_update_key()
         d1 = m.key_distance()
@@ -165,7 +165,7 @@ class TestSrlErrorApi:
         e1 = m.srl_error(obs=obs)
         e2 = m.srl_error(obs=obs)
         np.testing.assert_array_equal(e1, e2)
-        assert all(p.grad is None for p in m.params.values())
+        assert all(p.grad is None for p in m.opt.params.values())
 
     def test_decoder_freq_skips_steps(self):
         m = model(decoder_freq=2)
