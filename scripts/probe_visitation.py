@@ -9,7 +9,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cure_rl.config import load_config, set_by_path
-from cure_rl.train import run_cure_only
+from cure_rl.train import train
 from cure_rl.visitation import (CheckpointPolicy, RandomPolicy,
                                 build_reference_srl, score_trajectories)
 
@@ -32,7 +32,7 @@ def main():
 
     ckpt = os.path.join(args.out, "checkpoint.ckpt")
     if not os.path.exists(ckpt):
-        run_cure_only(cfg, args.out)
+        train(cfg, args.out, cure_only=True)
     ref = build_reference_srl(cfg, ckpt)
 
     # the task_base run was trained with the unmodified config

@@ -13,7 +13,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cure_rl.config import load_config, set_by_path
-from cure_rl.train import run_cure_only, train
+from cure_rl.train import train
 from cure_rl.visitation import visitation_experiment
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -56,7 +56,7 @@ def reacher_hard_battery(sub: str, seeds, **overrides):
 def visitation_battery(episodes: int):
     cure_out = os.path.join(RESULTS, "visitation", "cure_only")
     cfg = desk_cfg("desk_point_reacher.txt", **{"seed": 0, "out": cure_out})
-    run("visitation/cure_only", lambda: run_cure_only(cfg, cure_out), cure_out)
+    run("visitation/cure_only", lambda: train(cfg, cure_out, cure_only=True), cure_out)
 
     task_out = os.path.join(RESULTS, "visitation", "task_base")
     tcfg = desk_cfg("desk_point_reacher.txt",

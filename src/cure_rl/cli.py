@@ -10,7 +10,7 @@ import sys
 from .config import ExperimentConfig, load_config, save_config, set_by_path
 from .diagnostics import run_gradient_suite
 from .plotting import plot_reward_curves
-from .train import run_cure_only, train
+from .train import train
 from .visitation import visitation_experiment
 
 
@@ -52,7 +52,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run the full training protocol")
     _add_config_flags(p_train)
     p_train.add_argument("--resume", metavar="CKPT",
-                         help="resume from a main-phase checkpoint")
+                         help="resume from a main-phase checkpoint (also with --cure-only)")
     p_train.add_argument("--cure-only", action="store_true",
                          help="train only the curious agent (no task reward)")
 
@@ -94,10 +94,7 @@ def main(argv=None) -> int:
         out_dir = cfg.out or "runs/latest"
         os.makedirs(out_dir, exist_ok=True)
         save_config(cfg, os.path.join(out_dir, "config.txt"))
-        if args.cure_only:
-            run_cure_only(cfg, out_dir)
-        else:
-            train(cfg, out_dir, resume=args.resume)
+        train(cfg, out_dir, resume=args.resume, cure_only=args.cure_only)
         print(f"run complete: {out_dir}")
         return 0
 

@@ -111,6 +111,8 @@ class ExperimentConfig:
             raise ValueError(f"srl.head must be rae or contrastive, got {self.srl.head!r}")
         if self.pretrain.mode not in ("none", "random", "cure"):
             raise ValueError(f"pretrain.mode must be none|random|cure, got {self.pretrain.mode!r}")
+        if self.pretrain.mode == "cure" and not self.cure.enabled:
+            raise ValueError("pretrain.mode=cure requires cure.enabled")
         self.cure.validate()
 
 

@@ -28,11 +28,9 @@ def intrinsic_reward(errors: np.ndarray, beta: float) -> np.ndarray:
     return beta * errors
 
 
-def choose_source(mix_rng: np.random.Generator, p_c: float, seeding: bool,
+def choose_source(mix_rng: np.random.Generator, p_c: float,
                   curious_available: bool) -> ActionSource:
-    """Per-step policy selection; seeding phase always acts at random."""
-    if seeding:
-        return ActionSource.RANDOM
+    """Per-step policy selection after seeding (the trainer seeds at random)."""
     if not curious_available:
         return ActionSource.TASK
     eps = mix_rng.random()

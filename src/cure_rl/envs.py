@@ -31,7 +31,6 @@ class EnvSpec:
     frames: int = 3
     action_repeat: int = 4
     horizon: int = 1000
-    sparse_radius: float = 0.0
 
     def __post_init__(self):
         if self.render_size < 16:
@@ -157,9 +156,10 @@ class ReacherEnv(LiteEnv):
     GAIN = 6.0
     DAMP = 1.5
 
-    def __init__(self, spec, rng, links=(0.5, 0.4), target_mode="disk",
+    def __init__(self, spec, rng, radius, links=(0.5, 0.4), target_mode="disk",
                  reset_mode="uniform", gain=None, damp=None):
         super().__init__(spec, rng)
+        self.radius = radius  # reward when the tip is within this of the target
         self.links = links
         self.target_mode = target_mode
         self.reset_mode = reset_mode
@@ -198,15 +198,15 @@ class ReacherEnv(LiteEnv):
                           -self.OMEGA_MAX, self.OMEGA_MAX)
         s["th"] = wrap_angle(s["th"] + self.DT * s["om"])
         _, tip = self._tip()
-        return 1.0 if np.linalg.norm(tip - s["target"]) < self.spec.sparse_radius else 0.0
+        return 1.0 if np.linalg.norm(tip - s["target"]) < self.radius else 0.0
 
     def _draw(self):
         s = self.state
         elbow, tip = self._tip()
         tx, ty = s["target"]
         # target marker needs ~2.5 px on screen to survive small render sizes;
-        # the reward radius itself stays at spec.sparse_radius
-        r_draw = max(self.spec.sparse_radius, 2.5 * self.canvas.px)
+        # the reward radius itself stays at self.radius
+        r_draw = max(self.radius, 2.5 * self.canvas.px)
         # arena targets land anywhere on the canvas; a bright marker would
         # dominate per-frame appearance regardless of the arm's pose, so keep
         # it dim there and bright for the near-origin disk tasks
@@ -358,24 +358,18 @@ class SpinnerEnv(LiteEnv):
 
 _TASKS = {
     "reacher_easy": dict(cls=ReacherEnv, action_dim=2, action_repeat=4,
-                         sparse_radius=0.14,
-                         kwargs=dict(links=(0.5, 0.4), target_mode="disk")),
+                         kwargs=dict(radius=0.14, links=(0.5, 0.4), target_mode="disk")),
     "reacher_hard": dict(cls=ReacherEnv, action_dim=2, action_repeat=4,
-                         sparse_radius=0.08,
-                         kwargs=dict(links=(0.5, 0.4), target_mode="disk")),
+                         kwargs=dict(radius=0.08, links=(0.5, 0.4), target_mode="disk")),
     "point_reacher": dict(cls=ReacherEnv, action_dim=2, action_repeat=4,
-                          sparse_radius=0.1,
-                          kwargs=dict(links=(0.72, 0.7), target_mode="arena",
+                          kwargs=dict(radius=0.1, links=(0.72, 0.7), target_mode="arena",
                                       reset_mode="home", gain=1.5, damp=5.0)),
     "cartpole_swingup": dict(cls=CartpoleSwingupEnv, action_dim=1, action_repeat=4,
-                             sparse_radius=0.0, kwargs={}),
-    "ball_in_cup": dict(cls=BallInCupEnv, action_dim=2, action_repeat=4,
-                        sparse_radius=0.09, kwargs={}),
+                             kwargs={}),
+    "ball_in_cup": dict(cls=BallInCupEnv, action_dim=2, action_repeat=4, kwargs={}),
     "finger_spin_lite": dict(cls=SpinnerEnv, action_dim=1, action_repeat=2,
-                             sparse_radius=0.0,
                              kwargs=dict(mode="spin")),
     "finger_turn_lite": dict(cls=SpinnerEnv, action_dim=1, action_repeat=2,
-                             sparse_radius=0.3,
                              kwargs=dict(mode="turn")),
 }
 
@@ -395,7 +389,6 @@ def make_task(name: str, rng: np.random.Generator, *, render_size: int = 36,
         frames=frames,
         action_repeat=action_repeat or info["action_repeat"],
         horizon=horizon,
-        sparse_radius=info["sparse_radius"],
     )
     return info["cls"](spec, rng, **info["kwargs"])
 

@@ -74,11 +74,11 @@ class ReplayBuffer:
 
     def gather(self, idx: np.ndarray) -> Batch:
         return Batch(
-            obs=self.obs[idx].copy(),
-            actions=self.actions[idx].copy(),
-            rewards=self.rewards[idx].copy(),
-            next_obs=self.next_obs[idx].copy(),
-            dones=self.dones[idx].copy(),
+            obs=self.obs[idx],
+            actions=self.actions[idx],
+            rewards=self.rewards[idx],
+            next_obs=self.next_obs[idx],
+            dones=self.dones[idx],
         )
 
     # -- checkpoint support ------------------------------------------------

@@ -1,6 +1,13 @@
 """Training orchestration: the per-step collect/update loop, pretraining
 modes, evaluation protocol, and checkpoint resume.
 
+Every phase runs one loop in one of three modes, named like the values of
+``pretrain.mode``. ``"random"`` acts at random and updates only the SRL model.
+``"cure"`` seeds at random, then acts with the curious policy and updates the
+SRL model and the curious agent (curious pretraining, cure-only runs).
+``"mixed"`` seeds at random, then mixes task and curious actions, runs every
+update and evaluates every ``eval.interval`` steps (the main phase).
+
 Per collected step the loop runs, in order: select action, environment step,
 buffer push, batch sample, SRL update (returning the intrinsic reward), task
 agent update, curious agent update. Every random draw comes from a named
@@ -82,7 +89,7 @@ class Trainer:
         self.cfg = cfg
         self.out_dir = out_dir or cfg.out
         os.makedirs(self.out_dir, exist_ok=True)
-        self.phase_hook = phase_hook
+        self.phase_hook = phase_hook or (lambda t, phase: None)
         self.hash = config_hash(cfg)
 
         self.streams = RngStreams(cfg.seed)
@@ -124,20 +131,16 @@ class Trainer:
             alpha_lr=c.alpha.lr, init_alpha=c.alpha.init)
 
     # -- action selection ---------------------------------------------------
-    def _select_action(self, t: int, action_mode: str):
+    def _select_action(self, t: int, mode: str):
         cfg = self.cfg
-        seeding = t < cfg.init_steps and action_mode != "random"
-        if action_mode == "random" or seeding:
+        if mode == "random" or t < cfg.init_steps:
             a = self.streams["explore"].uniform(-1.0, 1.0, size=self.action_dim)
             return a, ActionSource.RANDOM
-        if action_mode == "curious_only":
+        if mode == "cure":
             source = ActionSource.CURIOUS
-        elif action_mode == "task_only":
-            source = ActionSource.TASK
         else:
-            source = cure.choose_source(
-                self.streams["mix"], cfg.cure.p_c, seeding=False,
-                curious_available=self.curious_agent is not None)
+            source = cure.choose_source(self.streams["mix"], cfg.cure.p_c,
+                                        curious_available=self.curious_agent is not None)
         obs_c = center_crop(self.obs, self.crop)
         if source is ActionSource.CURIOUS:
             a = self.curious_agent.act(self.srl.encoder, obs_c,
@@ -148,20 +151,15 @@ class Trainer:
         return a, source
 
     # -- one collected step ----------------------------------------------------
-    def _step_once(self, t: int, action_mode: str, update_task: bool,
-                   update_curious: bool, writer: MetricsWriter, eval_enabled: bool):
-        cfg = self.cfg
-        hook = self.phase_hook
+    def _step_once(self, t: int, mode: str, writer: MetricsWriter):
+        cfg, hook = self.cfg, self.phase_hook
 
-        action, source = self._select_action(t, action_mode)
-        if hook:
-            hook(t, "select")
+        action, source = self._select_action(t, mode)
+        hook(t, "select")
         next_obs, reward, done = self.env.step(action)
-        if hook:
-            hook(t, "env")
+        hook(t, "env")
         self.buffer.push(self.obs, action, reward, next_obs, done)
-        if hook:
-            hook(t, "push")
+        hook(t, "push")
         self.obs = next_obs
         self.episode_reward += reward
         self.agg.add("action_count", 1.0)
@@ -169,9 +167,8 @@ class Trainer:
 
         if t >= cfg.init_steps and len(self.buffer) >= cfg.batch_size:
             batch = self.buffer.sample(cfg.batch_size, self.streams["replay"])
-            if hook:
-                hook(t, "sample")
-            self._update(t, batch, update_task, update_curious)
+            hook(t, "sample")
+            self._update(t, batch, mode)
 
         if done:
             writer.write_row("train", t + 1, self.episode, self.episode_reward,
@@ -180,15 +177,16 @@ class Trainer:
             self.episode_reward = 0.0
             self.obs = self.env.reset()
 
-        if eval_enabled and (t + 1) % cfg.eval.interval == 0:
+        if mode == "mixed" and (t + 1) % cfg.eval.interval == 0:
             mean_reward = self.evaluate()
             writer.write_row("eval", t + 1, self.episode, mean_reward, {})
 
-    def _update(self, t: int, batch, update_task: bool, update_curious: bool):
+    def _update(self, t: int, batch, mode: str):
         """SRL, task and curious updates on one batch; latents as in the module docstring."""
         cfg, hook, srl = self.cfg, self.phase_hook, self.srl
         rae = cfg.srl.head == "rae"
-        curious = update_curious and self.curious_agent is not None
+        update_task = mode == "mixed"
+        curious = mode != "random" and self.curious_agent is not None
         actor_step = t % cfg.actor.freq == 0
         target_step = t % cfg.critic.target_freq == 0
         obs_c = center_crop(batch.obs, self.crop)
@@ -199,8 +197,7 @@ class Trainer:
         else:
             anchor, positive = augmented_views(batch.obs, self.crop, self.streams["crop"])
             errors = srl.update(anchor=anchor, positive=positive)
-        if hook:
-            hook(t, "srl")
+        hook(t, "srl")
         self.agg.add("srl", float(np.mean(errors)))
 
         # version 1: after the SRL step; random pretraining may have no reader
@@ -240,8 +237,7 @@ class Trainer:
                 self.agg.add("alpha_task", alloss)
             if target_step:
                 self.task_agent.polyak()
-        if hook:
-            hook(t, "task_ac")
+        hook(t, "task_ac")
 
         if curious:
             if update_task:
@@ -260,66 +256,42 @@ class Trainer:
                 self.agg.add("alpha_cure", alloss)
             if target_step:
                 self.curious_agent.polyak()
-            if hook:
-                hook(t, "curious_ac")
+            hook(t, "curious_ac")
 
     # -- phases ----------------------------------------------------------------
-    def _loop(self, n_steps: int, *, action_mode: str, update_task: bool,
-              update_curious: bool, writer: MetricsWriter, eval_enabled: bool,
-              start_t: int = 0):
-        if start_t == 0:
+    def _run(self, phase: str, mode: str, n_steps: int, filename: str,
+             resume: bool = False) -> str:
+        """The loop every phase runs: steps ``phase_t`` (when resuming, else 0)
+        to ``n_steps`` in ``mode``, logging to ``filename`` in the run directory."""
+        self.phase = phase
+        self.phase_t = self.phase_t if resume else 0
+        if self.phase_t == 0:
             self.obs = self.env.reset()
             self.episode = 0
             self.episode_reward = 0.0
-        for t in range(start_t, n_steps):
-            try:
-                self._step_once(t, action_mode, update_task, update_curious,
-                                writer, eval_enabled)
-            except Exception as e:
-                raise RuntimeError(
-                    f"training aborted at {self.phase} step {t}: {e}") from e
-            self.phase_t = t + 1
+        path = os.path.join(self.out_dir, filename)
+        with MetricsWriter(path, append=resume) as writer:
+            for t in range(self.phase_t, n_steps):
+                try:
+                    self._step_once(t, mode, writer)
+                except Exception as e:
+                    raise RuntimeError(f"training aborted at {phase} step {t}: {e}") from e
+                self.phase_t = t + 1
+        return path
 
     def run_pretrain(self) -> None:
         cfg = self.cfg
-        mode = cfg.pretrain.mode
-        if mode == "none":
+        if cfg.pretrain.mode == "none":
             return
-        self.phase = "pretrain"
-        self.phase_t = 0
-        path = os.path.join(self.out_dir, "pretrain_metrics.csv")
-        with MetricsWriter(path) as writer:
-            if mode == "random":
-                self._loop(cfg.pretrain.steps, action_mode="random",
-                           update_task=False, update_curious=False,
-                           writer=writer, eval_enabled=False)
-            else:  # cure
-                self._loop(cfg.pretrain.steps, action_mode="curious_only",
-                           update_task=False, update_curious=True,
-                           writer=writer, eval_enabled=False)
+        self._run("pretrain", cfg.pretrain.mode, cfg.pretrain.steps, "pretrain_metrics.csv")
         # main phase starts from the pretrained encoder/SRL with a fresh buffer
         self.buffer = ReplayBuffer(cfg.replay.capacity)
         self.phase = "main"
         self.phase_t = 0
 
     def run_main(self, *, resume: bool = False, cure_only: bool = False) -> str:
-        cfg = self.cfg
-        self.phase = "main"
-        path = os.path.join(self.out_dir, "metrics.csv")
-        writer = MetricsWriter(path, append=resume)
-        try:
-            if cure_only:
-                self._loop(cfg.steps, action_mode="curious_only", update_task=False,
-                           update_curious=True, writer=writer, eval_enabled=False,
-                           start_t=self.phase_t if resume else 0)
-            else:
-                self._loop(cfg.steps, action_mode="mixed", update_task=True,
-                           update_curious=cfg.cure.enabled,
-                           writer=writer, eval_enabled=True,
-                           start_t=self.phase_t if resume else 0)
-        finally:
-            writer.close()
-        return path
+        return self._run("main", "cure" if cure_only else "mixed", self.cfg.steps,
+                         "metrics.csv", resume)
 
     # -- evaluation: isolated env and RNG, deterministic task policy -------------
     def evaluate(self, episodes: int | None = None) -> float:
@@ -406,27 +378,20 @@ class Trainer:
 
 
 def train(cfg: ExperimentConfig, out_dir: str | None = None,
-          resume: str | None = None, phase_hook=None) -> Trainer:
-    """Full protocol: optional pretraining phase, then the main loop."""
+          resume: str | None = None, phase_hook=None, cure_only: bool = False) -> Trainer:
+    """Full protocol: optional pretraining phase, then the main loop. With
+    ``cure_only`` the main loop trains only the SRL model and the curious agent
+    (no task reward is consumed) and pretraining is skipped."""
+    if cure_only and not cfg.cure.enabled:
+        raise ValueError("cure-only training requires cure.enabled")
     trainer = Trainer(cfg, out_dir, phase_hook=phase_hook)
     if resume:
         trainer.load_checkpoint(resume)
         if trainer.phase != "main":
             raise ckpt.CheckpointError(
                 f"can only resume a main-phase checkpoint, found {trainer.phase!r}")
-        trainer.run_main(resume=True)
-    else:
+    elif not cure_only:
         trainer.run_pretrain()
-        trainer.run_main()
-    trainer.save_checkpoint()
-    return trainer
-
-
-def run_cure_only(cfg: ExperimentConfig, out_dir: str | None = None) -> Trainer:
-    """Train only the curious agent and SRL; no task reward is consumed."""
-    if not cfg.cure.enabled:
-        raise ValueError("cure-only training requires cure.enabled")
-    trainer = Trainer(cfg, out_dir)
-    trainer.run_main(cure_only=True)
+    trainer.run_main(resume=bool(resume), cure_only=cure_only)
     trainer.save_checkpoint()
     return trainer

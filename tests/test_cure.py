@@ -28,32 +28,25 @@ class TestIntrinsicReward:
 
 
 class TestChooseSource:
-    def test_seeding_is_always_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert choose_source(rng, 0.9, seeding=True,
-                                 curious_available=True) is ActionSource.RANDOM
-
     def test_no_curious_agent_falls_back_to_task(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert choose_source(rng, 0.9, seeding=False,
-                                 curious_available=False) is ActionSource.TASK
+            assert choose_source(rng, 0.9, curious_available=False) is ActionSource.TASK
 
     def test_p_c_zero_never_curious(self):
         rng = np.random.default_rng(0)
-        sources = {choose_source(rng, 0.0, False, True) for _ in range(200)}
+        sources = {choose_source(rng, 0.0, True) for _ in range(200)}
         assert sources == {ActionSource.TASK}
 
     def test_p_c_one_always_curious(self):
         rng = np.random.default_rng(0)
-        sources = {choose_source(rng, 1.0, False, True) for _ in range(200)}
+        sources = {choose_source(rng, 1.0, True) for _ in range(200)}
         assert sources == {ActionSource.CURIOUS}
 
     def test_mixing_is_seed_deterministic(self):
         def draw(seed):
             rng = np.random.default_rng(seed)
-            return [choose_source(rng, 0.2, False, True) for _ in range(100)]
+            return [choose_source(rng, 0.2, True) for _ in range(100)]
 
         assert draw(7) == draw(7)
 
@@ -63,7 +56,7 @@ class TestChooseSource:
 def test_curious_fraction_concentrates_near_p_c(p_c, seed):
     rng = np.random.default_rng(seed)
     n = 4000
-    hits = sum(choose_source(rng, p_c, False, True) is ActionSource.CURIOUS
+    hits = sum(choose_source(rng, p_c, True) is ActionSource.CURIOUS
                for _ in range(n))
     # 4000 Bernoulli draws: allow ~4.5 sigma around the mean
     sigma = np.sqrt(p_c * (1 - p_c) / n)

@@ -18,6 +18,7 @@ from cure_rl import checkpoint as ckpt
 from cure_rl.cli import main as cli_main
 from cure_rl.config import (ExperimentConfig, config_hash, flatten, load_config,
                             save_config, set_by_path)
+from cure_rl.cure import ActionSource
 from cure_rl.metrics import COLUMNS, LossAggregator, MetricsWriter, read_metrics
 from cure_rl.plotting import collect_series, plot_reward_curves
 from cure_rl.srl import Encoder
@@ -112,6 +113,12 @@ class TestConfig:
         cfg = tiny_cfg()
         cfg.cure.p_c = 1.5
         with pytest.raises(ValueError):
+            cfg.validate()
+
+    def test_validate_rejects_cure_pretraining_without_cure(self):
+        cfg = tiny_cfg(**{"pretrain.mode": "cure"})
+        cfg.cure.enabled = False
+        with pytest.raises(ValueError, match="pretrain.mode=cure"):
             cfg.validate()
 
 
@@ -398,6 +405,42 @@ class TestTrainer:
         assert (open(os.path.join(full, "metrics.csv"), "rb").read()
                 == open(os.path.join(split, "metrics.csv"), "rb").read())
 
+    def test_cure_only_resume_matches_uninterrupted_run(self, tmp_path):
+        full = str(tmp_path / "full")
+        train(tiny_cfg(steps=50), full, cure_only=True)
+        split = str(tmp_path / "split")
+        train(tiny_cfg(steps=25), split, cure_only=True)
+        train(tiny_cfg(steps=50), split, cure_only=True,
+              resume=os.path.join(split, "checkpoint.ckpt"))
+        for name in ("metrics.csv", "checkpoint.ckpt"):
+            assert (open(os.path.join(full, name), "rb").read()
+                    == open(os.path.join(split, name), "rb").read()), name
+
+    def test_cure_only_resume_from_missing_checkpoint_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            train(tiny_cfg(), str(tmp_path), cure_only=True,
+                  resume=str(tmp_path / "missing.ckpt"))
+        assert not os.path.exists(tmp_path / "metrics.csv")
+
+    def test_seeding_is_random_and_only_mixed_mode_draws_the_mix(self, tmp_path):
+        cfg = tiny_cfg()
+        tr = Trainer(cfg, str(tmp_path))
+        tr.obs = tr.env.reset()
+        mix = tr.streams["mix"].bit_generator
+
+        def sources(mode, steps):
+            before = mix.state
+            out = {tr._select_action(t, mode)[1] for t in steps}
+            return out, mix.state != before
+
+        seeding = range(cfg.init_steps)
+        after = range(cfg.init_steps, cfg.init_steps + 20)
+        for mode in ("random", "cure", "mixed"):
+            assert sources(mode, seeding) == ({ActionSource.RANDOM}, False), mode
+        assert sources("random", after) == ({ActionSource.RANDOM}, False)
+        assert sources("cure", after) == ({ActionSource.CURIOUS}, False)
+        assert sources("mixed", after)[1]
+
     def test_evaluation_never_touches_buffer_or_streams(self, tmp_path):
         cfg = tiny_cfg()
         tr = Trainer(cfg, str(tmp_path))
@@ -405,7 +448,7 @@ class TestTrainer:
         from cure_rl.metrics import MetricsWriter as MW
         w = MW(os.path.join(str(tmp_path), "m.csv"))
         for t in range(15):
-            tr._step_once(t, "mixed", True, True, w, False)
+            tr._step_once(t, "mixed", w)
         n = len(tr.buffer)
         state_before = {k: tr.streams[k].bit_generator.state
                         for k in ("explore", "task_actor", "mix", "replay", "crop")}
