@@ -3,6 +3,8 @@
 A dynamic tape: every op that touches a tensor requiring gradients records a
 node with a backward closure. ``Tensor.backward()`` walks the tape once in
 reverse topological order and accumulates gradients into leaf tensors.
+``Adam.minimize`` turns a loss into one parameter step and clears those
+gradients again, so no tensor holds a gradient between steps.
 
 Storage defaults to float32; float64 inputs are preserved so finite-difference
 oracles can run at full precision.
@@ -80,7 +82,8 @@ class Tensor:
         return float(self.data)
 
     # -- autodiff ------------------------------------------------------
-    def backward(self, grad: Optional[np.ndarray] = None):
+    def backward(self, grad: Optional[np.ndarray] = None) -> list:
+        """Accumulate gradients into the leaves; returns the leaves written."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient requires a scalar output")
@@ -109,6 +112,7 @@ class Tensor:
                         stack.append((parent, False))
 
         pending: dict[int, np.ndarray] = {id(self): grad}
+        leaves: list[Tensor] = []
         for t in reversed(order):
             g = pending.pop(id(t), None)
             if g is None:
@@ -116,6 +120,7 @@ class Tensor:
             if t.node is None:
                 if t.requires_grad:
                     t.grad = g if t.grad is None else t.grad + g
+                    leaves.append(t)
                 continue
             parent_grads = t.node.backward_fn(g)
             for parent, pg in zip(t.node.inputs, parent_grads):
@@ -125,6 +130,7 @@ class Tensor:
                     pending[id(parent)] = pending[id(parent)] + pg
                 else:
                     pending[id(parent)] = pg
+        return leaves
 
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):
@@ -566,6 +572,17 @@ class Adam:
         self.t = 0
         self.state = {g.name: AdamState(g.data.shape, g.data.dtype) for g in self.groups}
 
+    def minimize(self, loss: Tensor):
+        """One step down ``loss``: backward, then ``step``. Every gradient the
+        backward pass wrote is cleared afterwards, on leaves outside this
+        optimizer too and also when ``step`` raises."""
+        leaves = loss.backward()
+        try:
+            self.step()
+        finally:
+            for p in leaves:
+                p.grad = None
+
     def step(self):
         """Apply one bias-corrected update from each parameter's .grad."""
         grads = []
@@ -601,12 +618,6 @@ class Adam:
         for name, st in self.state.items():
             st.m = arrays[f"{prefix}/{name}/m"].astype(st.m.dtype)
             st.v = arrays[f"{prefix}/{name}/v"].astype(st.v.dtype)
-
-
-def zero_grads(params) -> None:
-    vals = params.values() if isinstance(params, dict) else params
-    for p in vals:
-        p.grad = None
 
 
 # -- finite-difference oracle --------------------------------------------

@@ -1,6 +1,6 @@
 """Versioned binary checkpoints.
 
-Layout (format ``VERSION`` 2, little-endian): the 8 magic bytes, the version
+Layout (format ``VERSION`` 3, little-endian): the 8 magic bytes, the version
 (``<I``), the config hash (``<H`` length + UTF-8), the array count (``<I``),
 then one record per array in name order -- name (``<H`` length + UTF-8),
 dtype code and ndim (``<BB``), each dimension (``<I``), the C-order data --
@@ -11,7 +11,11 @@ A training run stores each parameter group's flat buffer as ``param/<group>``
 and each optimizer's moments as ``opt/<opt>/<group>/m`` and ``.../v``, one
 pair per group it steps; then the replay buffer's filled rows
 (``buffer/<field>``) and the environment's frame stack (``env/stack``).
-Version 1 stored one array per parameter tensor and is not read.
+Its metadata holds the phase, its step and its loop ``mode`` (``random``,
+``cure`` or ``mixed``), which ``train`` refuses to resume in another mode, and
+the pending metrics sums and counts (``agg``) keyed by ``metrics.csv`` column.
+Version 1 stored one array per parameter tensor, and version 2 had no
+``mode`` entry and other ``agg`` keys; neither is read.
 
 Arrays are streamed: ``save`` writes each one from its own memory and
 ``load`` reads each one straight into a fresh ``np.empty`` array, so neither
@@ -32,7 +36,7 @@ import tempfile
 import numpy as np
 
 MAGIC = b"CURERLCK"
-VERSION = 2
+VERSION = 3
 
 _DTYPES = {0: "<f4", 1: "<f8", 2: "<i8", 3: "|u1"}
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}

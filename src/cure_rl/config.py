@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 
 
@@ -36,7 +37,6 @@ class AlphaConfig:
 class SrlConfig:
     head: str = "rae"          # rae | contrastive
     lr: float = 1e-3
-    decoder_freq: int = 1
     z_dim: int = 50
     lambda_z: float = 1e-6
     lambda_theta: float = 1e-7
@@ -116,37 +116,43 @@ class ExperimentConfig:
         self.cure.validate()
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
 def _coerce(value, target_type):
+    """A field's value from text (a file line or a ``--set`` override) or from
+    a Python value. Text is parsed as JSON, except that a str field keeps its
+    text (a JSON string literal, as ``save_config`` writes it, is unquoted)."""
+    if isinstance(value, str) and target_type is not bool:
+        text = value.strip()
+        if target_type is str:
+            return json.loads(text) if text.startswith('"') else text
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
     if target_type is bool:
-        if isinstance(value, bool):
-            return value
-        s = str(value).strip().lower()
-        if s in ("true", "1", "yes", "on"):
-            return True
-        if s in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean from {value!r}")
-    if target_type is int:
+        word = str(value).strip().lower()
+        if word in _BOOLS:
+            return _BOOLS[word]
+    elif isinstance(value, bool):
+        pass  # a boolean is not a number
+    elif target_type is int and (isinstance(value, numbers.Integral)
+                                 or isinstance(value, float) and value.is_integer()):
         return int(value)
-    if target_type is float:
+    elif target_type is float and isinstance(value, (numbers.Real, str)):
         return float(value)
-    if target_type is tuple:
-        if isinstance(value, str):
-            value = json.loads(value)
+    elif target_type is tuple and isinstance(value, (list, tuple)):
         return tuple(value)
-    return str(value)
-
-
-def parse_value(text: str):
-    text = text.strip()
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, ValueError):
-        return text
+    elif target_type is str:
+        return str(value)
+    raise ValueError(f"expected {target_type.__name__}, got {value!r}")
 
 
 def set_by_path(cfg: ExperimentConfig, path: str, value):
-    """Apply a dotted-path override like ``critic.lr=3e-4``."""
+    """Apply a dotted-path override like ``critic.lr=3e-4``; ``value`` is text
+    or a Python value, converted to the field's type by ``_coerce``."""
     parts = path.split(".")
     obj = cfg
     for p in parts[:-1]:
@@ -175,7 +181,7 @@ def load_config(path: str, base: ExperimentConfig | None = None) -> ExperimentCo
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, val = line.partition("=")
             try:
-                set_by_path(cfg, key.strip(), parse_value(val))
+                set_by_path(cfg, key.strip(), val)
             except (KeyError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from e
     return cfg

@@ -1,7 +1,11 @@
 """CSV metrics logging with deterministic content.
 
-One row per training episode and one per evaluation. Wall-clock timings go to
-a ``<file>.time`` sidecar so the main CSV is a pure function of (config, seed).
+One row per training episode and one per evaluation. Each column after
+``reward`` is the mean of the values added to the ``LossAggregator`` under
+that column's name since the last row, or 0 when none was added. Adding a
+column is one ``COLUMNS`` entry plus one ``agg.add`` call. Wall-clock timings
+go to a ``<file>.time`` sidecar so the main CSV is a pure function of
+(config, seed).
 """
 
 from __future__ import annotations
@@ -18,10 +22,6 @@ COLUMNS = (
     "intrinsic_reward_mean", "curious_fraction",
 )
 
-_LOSS_KEYS = ("critic_task", "actor_task", "alpha_task", "srl",
-              "critic_cure", "actor_cure", "alpha_cure",
-              "intrinsic", "curious_count", "action_count")
-
 
 def _fmt(v) -> str:
     if isinstance(v, str):
@@ -32,26 +32,21 @@ def _fmt(v) -> str:
 
 
 class LossAggregator:
-    """Running sums of per-update losses, flushed into each metrics row."""
+    """Running sum and count of the values added under each column name."""
 
     def __init__(self):
-        self.sums = {k: 0.0 for k in _LOSS_KEYS}
-        self.counts = {k: 0 for k in _LOSS_KEYS}
+        self.sums = {k: 0.0 for k in COLUMNS[4:]}
+        self.counts = {k: 0 for k in COLUMNS[4:]}
 
-    def add(self, key: str, value):
+    def add(self, column: str, value):
         if value is None:
             return
-        self.sums[key] += float(value)
-        self.counts[key] += 1
-
-    def mean(self, key: str) -> float:
-        n = self.counts[key]
-        return self.sums[key] / n if n else 0.0
+        self.sums[column] += float(value)
+        self.counts[column] += 1
 
     def flush(self) -> dict:
-        out = {k: self.mean(k) for k in _LOSS_KEYS}
-        n_act = self.counts["action_count"]
-        out["curious_fraction"] = (self.sums["curious_count"] / n_act) if n_act else 0.0
+        """The mean of each column since the last flush; then starts over."""
+        out = {k: self.sums[k] / n if (n := self.counts[k]) else 0.0 for k in self.sums}
         self.__init__()
         return out
 
@@ -76,19 +71,8 @@ class MetricsWriter:
             self._f.flush()
 
     def write_row(self, kind: str, step: int, episode: int, reward: float, agg: dict):
-        row = {
-            "kind": kind, "step": step, "episode": episode, "reward": reward,
-            "critic_loss_task": agg.get("critic_task", 0.0),
-            "actor_loss_task": agg.get("actor_task", 0.0),
-            "alpha_loss_task": agg.get("alpha_task", 0.0),
-            "srl_loss": agg.get("srl", 0.0),
-            "critic_loss_cure": agg.get("critic_cure", 0.0),
-            "actor_loss_cure": agg.get("actor_cure", 0.0),
-            "alpha_loss_cure": agg.get("alpha_cure", 0.0),
-            "intrinsic_reward_mean": agg.get("intrinsic", 0.0),
-            "curious_fraction": agg.get("curious_fraction", 0.0),
-        }
-        self._f.write(",".join(_fmt(row[c]) for c in COLUMNS) + "\n")
+        values = [kind, step, episode, reward] + [agg.get(c, 0.0) for c in COLUMNS[4:]]
+        self._f.write(",".join(_fmt(v) for v in values) + "\n")
         self._f.flush()
         self._tf.write(f"{time.monotonic() - self._start:.3f}\n")
         self._tf.flush()

@@ -162,13 +162,10 @@ class SacAgent:
         yt = Tensor(y.astype(np.float32))
         loss = ad.reduce_mean(ad.square(self.q1(z, a) - yt)) + \
             ad.reduce_mean(ad.square(self.q2(z, a) - yt))
-        ad.zero_grads(self.critic_opt.params)
-        loss.backward()
         try:
-            self.critic_opt.step()
+            self.critic_opt.minimize(loss)
         except ad.NonFiniteGradientError as e:
             log.warning("%s: critic update skipped: %s", self.name, e)
-        ad.zero_grads(self.critic_opt.params)
         return loss.item()
 
     def update_actor_and_alpha(self, z_detached: np.ndarray,
@@ -179,26 +176,19 @@ class SacAgent:
         a, logp = self.actor.sample(z, eps)
         q = ad.minimum(self.q1(z, a), self.q2(z, a))
         actor_loss = ad.reduce_mean(self.alpha * logp - q)
-        ad.zero_grads(self.actor_opt.params)
-        ad.zero_grads(self.critic_opt.params)
-        actor_loss.backward()
         try:
-            self.actor_opt.step()
+            # the loss reaches the critic too; minimize clears its gradients unused
+            self.actor_opt.minimize(actor_loss)
         except ad.NonFiniteGradientError as e:
             log.warning("%s: actor update skipped: %s", self.name, e)
-        ad.zero_grads(self.actor_opt.params)
-        ad.zero_grads(self.critic_opt.params)
 
         logp_const = Tensor(logp.data.copy())
         alpha_loss = ad.reduce_mean(
             ad.exp(self.log_alpha) * (-logp_const - self.target_entropy))
-        self.log_alpha.grad = None
-        alpha_loss.backward()
         try:
-            self.alpha_opt.step()
+            self.alpha_opt.minimize(alpha_loss)
         except ad.NonFiniteGradientError as e:
             log.warning("%s: alpha update skipped: %s", self.name, e)
-        self.log_alpha.grad = None
         return actor_loss.item(), alpha_loss.item()
 
     def polyak(self, tau: float | None = None):

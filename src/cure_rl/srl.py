@@ -98,14 +98,13 @@ class SrlModel:
 
     def __init__(self, rng, in_channels: int, crop: int, z_dim: int, head: str,
                  lr: float = 1e-3, lambda_z: float = 1e-6, lambda_theta: float = 1e-7,
-                 key_tau: float = 0.05, decoder_freq: int = 1):
+                 key_tau: float = 0.05):
         if head not in HEADS:
             raise ValueError(f"unknown SRL head {head!r}; valid: {HEADS}")
         self.head = head
         self.lambda_z = lambda_z
         self.lambda_theta = lambda_theta
         self.key_tau = key_tau
-        self.decoder_freq = max(1, decoder_freq)
         self.encoder = Encoder(rng, in_channels, crop, z_dim)
         self.online = ParamGroup("encoder", self.encoder.params())
         self.decoder = None
@@ -123,7 +122,6 @@ class SrlModel:
             head_group = ParamGroup("bilinear", {"bilinear.W": self.bilinear})
         self.opt = ad.Adam([self.online, head_group], lr=lr)
         self.groups = self.opt.groups + ([self.key] if self.key_encoder else [])
-        self.updates = 0
 
     # -- losses ----------------------------------------------------------
     def rae_loss(self, obs: np.ndarray, z: Tensor | None = None):
@@ -186,17 +184,12 @@ class SrlModel:
             loss, errors = self.rae_loss(obs)
         else:
             loss, errors = self.infonce_loss(anchor, positive)
-        self.updates += 1
-        if self.updates % self.decoder_freq == 0:
-            ad.zero_grads(self.opt.params)
-            loss.backward()
-            try:
-                self.opt.step()
-            except ad.NonFiniteGradientError as e:
-                log.warning("SRL update skipped: %s", e)
-            ad.zero_grads(self.opt.params)
-            if self.head == "contrastive":
-                self.ema_update_key()
+        try:
+            self.opt.minimize(loss)
+        except ad.NonFiniteGradientError as e:
+            log.warning("SRL update skipped: %s", e)
+        if self.head == "contrastive":
+            self.ema_update_key()
         return errors
 
     def ema_update_key(self):

@@ -103,7 +103,7 @@ class Trainer:
         self.srl = SrlModel(init_rng, cfg.frames, self.crop, cfg.srl.z_dim,
                             head=cfg.srl.head, lr=cfg.srl.lr,
                             lambda_z=cfg.srl.lambda_z, lambda_theta=cfg.srl.lambda_theta,
-                            key_tau=cfg.srl.key_tau, decoder_freq=cfg.srl.decoder_freq)
+                            key_tau=cfg.srl.key_tau)
         task_hp = self._hyperparams(cfg.gamma)
         self.task_agent = SacAgent(init_rng, cfg.srl.z_dim, self.action_dim, task_hp,
                                    "task", encoder=self.srl.online)
@@ -117,6 +117,7 @@ class Trainer:
         self.agg = LossAggregator()
         self.phase = "main"
         self.phase_t = 0
+        self.mode = "mixed"
         self.episode = 0
         self.episode_reward = 0.0
         self.eval_count = 0
@@ -162,8 +163,7 @@ class Trainer:
         hook(t, "push")
         self.obs = next_obs
         self.episode_reward += reward
-        self.agg.add("action_count", 1.0)
-        self.agg.add("curious_count", 1.0 if source is ActionSource.CURIOUS else 0.0)
+        self.agg.add("curious_fraction", 1.0 if source is ActionSource.CURIOUS else 0.0)
 
         if t >= cfg.init_steps and len(self.buffer) >= cfg.batch_size:
             batch = self.buffer.sample(cfg.batch_size, self.streams["replay"])
@@ -198,7 +198,7 @@ class Trainer:
             anchor, positive = augmented_views(batch.obs, self.crop, self.streams["crop"])
             errors = srl.update(anchor=anchor, positive=positive)
         hook(t, "srl")
-        self.agg.add("srl", float(np.mean(errors)))
+        self.agg.add("srl_loss", float(np.mean(errors)))
 
         # version 1: after the SRL step; random pretraining may have no reader
         z_next = None
@@ -215,13 +215,13 @@ class Trainer:
                 na, np_ = augmented_views(batch.next_obs, self.crop, self.streams["crop"])
                 next_errors = srl.srl_error(anchor=na, positive=np_)
             r_int = cure.intrinsic_reward(next_errors, cfg.cure.beta)
-            self.agg.add("intrinsic", float(np.mean(r_int)))
+            self.agg.add("intrinsic_reward_mean", float(np.mean(r_int)))
 
         if update_task:
             closs = self.task_agent.update_critic(
                 srl.encode(obs_c), batch.actions, batch.rewards, batch.dones, z_next,
                 self.streams["task_update"])
-            self.agg.add("critic_task", closs)
+            self.agg.add("critic_loss_task", closs)
 
         # version 2: after the task critic step
         if curious:
@@ -233,8 +233,8 @@ class Trainer:
             if actor_step:
                 aloss, alloss = self.task_agent.update_actor_and_alpha(
                     z.data, self.streams["task_update"])
-                self.agg.add("actor_task", aloss)
-                self.agg.add("alpha_task", alloss)
+                self.agg.add("actor_loss_task", aloss)
+                self.agg.add("alpha_loss_task", alloss)
             if target_step:
                 self.task_agent.polyak()
         hook(t, "task_ac")
@@ -245,15 +245,15 @@ class Trainer:
                     z_next = srl.encode(next_c)
             closs = self.curious_agent.update_critic(
                 z, batch.actions, r_int, batch.dones, z_next, self.streams["curious_update"])
-            self.agg.add("critic_cure", closs)
+            self.agg.add("critic_loss_cure", closs)
             if actor_step:
                 # version 3: after the curious critic step
                 with no_grad():
                     z = srl.encode(obs_c)
                 aloss, alloss = self.curious_agent.update_actor_and_alpha(
                     z.data, self.streams["curious_update"])
-                self.agg.add("actor_cure", aloss)
-                self.agg.add("alpha_cure", alloss)
+                self.agg.add("actor_loss_cure", aloss)
+                self.agg.add("alpha_loss_cure", alloss)
             if target_step:
                 self.curious_agent.polyak()
             hook(t, "curious_ac")
@@ -263,7 +263,7 @@ class Trainer:
              resume: bool = False) -> str:
         """The loop every phase runs: steps ``phase_t`` (when resuming, else 0)
         to ``n_steps`` in ``mode``, logging to ``filename`` in the run directory."""
-        self.phase = phase
+        self.phase, self.mode = phase, mode
         self.phase_t = self.phase_t if resume else 0
         if self.phase_t == 0:
             self.obs = self.env.reset()
@@ -284,10 +284,10 @@ class Trainer:
         if cfg.pretrain.mode == "none":
             return
         self._run("pretrain", cfg.pretrain.mode, cfg.pretrain.steps, "pretrain_metrics.csv")
-        # main phase starts from the pretrained encoder/SRL with a fresh buffer
+        # main phase starts from the pretrained encoder/SRL with a fresh buffer,
+        # at step 0 in mixed mode: a checkpoint saved here resumes into train()
         self.buffer = ReplayBuffer(cfg.replay.capacity)
-        self.phase = "main"
-        self.phase_t = 0
+        self.phase, self.phase_t, self.mode = "main", 0, "mixed"
 
     def run_main(self, *, resume: bool = False, cure_only: bool = False) -> str:
         return self._run("main", "cure" if cure_only else "mixed", self.cfg.steps,
@@ -339,6 +339,7 @@ class Trainer:
         meta = {
             "phase": self.phase,
             "phase_t": self.phase_t,
+            "mode": self.mode,
             "episode": self.episode,
             "episode_reward": self.episode_reward,
             "eval_count": self.eval_count,
@@ -364,6 +365,7 @@ class Trainer:
         self.streams.import_state(meta["rng"])
         self.phase = meta["phase"]
         self.phase_t = int(meta["phase_t"])
+        self.mode = meta["mode"]
         self.episode = int(meta["episode"])
         self.episode_reward = float(meta["episode_reward"])
         self.eval_count = int(meta["eval_count"])
@@ -381,7 +383,8 @@ def train(cfg: ExperimentConfig, out_dir: str | None = None,
           resume: str | None = None, phase_hook=None, cure_only: bool = False) -> Trainer:
     """Full protocol: optional pretraining phase, then the main loop. With
     ``cure_only`` the main loop trains only the SRL model and the curious agent
-    (no task reward is consumed) and pretraining is skipped."""
+    (no task reward is consumed) and pretraining is skipped. ``resume`` takes a
+    main-phase checkpoint saved in the same loop mode."""
     if cure_only and not cfg.cure.enabled:
         raise ValueError("cure-only training requires cure.enabled")
     trainer = Trainer(cfg, out_dir, phase_hook=phase_hook)
@@ -390,6 +393,11 @@ def train(cfg: ExperimentConfig, out_dir: str | None = None,
         if trainer.phase != "main":
             raise ckpt.CheckpointError(
                 f"can only resume a main-phase checkpoint, found {trainer.phase!r}")
+        mode = "cure" if cure_only else "mixed"
+        if trainer.mode != mode:
+            raise ckpt.CheckpointError(
+                f"{resume}: checkpoint was trained in {trainer.mode!r} mode, "
+                f"cannot resume it in {mode!r} mode")
     elif not cure_only:
         trainer.run_pretrain()
     trainer.run_main(resume=bool(resume), cure_only=cure_only)

@@ -292,6 +292,32 @@ class TestAdam:
         opt2.step()
         np.testing.assert_array_equal(p.data, q.data)
 
+    def test_minimize_clears_every_gradient_it_wrote(self):
+        p = t([1.0, -2.0])
+        outside = t([3.0])        # reached by the loss, stepped by no optimizer
+        opt = Adam([ParamGroup("p", {"p": p})], lr=1e-3)
+        loss = ad.reduce_sum(ad.square(p * outside))
+        assert {id(x) for x in loss.backward()} == {id(p), id(outside)}
+        p.grad = outside.grad = None
+        opt.minimize(loss)
+        assert p.grad is None and outside.grad is None
+        np.testing.assert_allclose(p.data, [1.0 - 1e-3, -2.0 + 1e-3], rtol=1e-5)
+        np.testing.assert_array_equal(outside.data, [3.0])
+
+    def test_minimize_skips_the_step_on_a_nonfinite_gradient(self):
+        p = t([0.5, 1.0])
+        w = t([np.nan, 2.0])
+        opt = Adam([ParamGroup("p", {"p": p})], lr=1e-3)
+        opt.minimize(ad.reduce_sum(ad.square(p)))
+        state = opt.state["p"]
+        before = (p.data.copy(), state.m.copy(), state.v.copy(), opt.t)
+        with pytest.raises(NonFiniteGradientError, match="'p'"):
+            opt.minimize(ad.reduce_sum(p * w))
+        for got, want in zip((p.data, state.m, state.v), before):
+            np.testing.assert_array_equal(got, want)
+        assert opt.t == before[3]
+        assert p.grad is None and w.grad is None
+
 
 @settings(max_examples=25, deadline=None)
 @given(rows=st.integers(1, 5), cols=st.integers(1, 5))

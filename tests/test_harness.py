@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cure_rl import checkpoint as ckpt
+from cure_rl.cli import build_config, make_parser
 from cure_rl.cli import main as cli_main
 from cure_rl.config import (ExperimentConfig, config_hash, flatten, load_config,
                             save_config, set_by_path)
@@ -63,7 +64,6 @@ class TestConfig:
         assert flat["actor.freq"] == 2
         assert flat["actor.log_std"] == [-10.0, 2.0]
         assert flat["srl.lr"] == 1e-3
-        assert flat["srl.decoder_freq"] == 1
         assert flat["alpha.lr"] == 1e-4
         assert flat["alpha.init"] == 0.1
         assert flat["init_steps"] == 1000
@@ -75,6 +75,27 @@ class TestConfig:
         set_by_path(cfg, "steps", "123")
         set_by_path(cfg, "cure.enabled", "false")
         assert cfg.critic.lr == 0.005 and cfg.steps == 123 and cfg.cure.enabled is False
+
+    @pytest.mark.parametrize("key,text,want", [
+        ("steps", "1e4", 10000), ("batch_size", "32.7", ValueError("expected int, got 32.7")),
+        ("steps", "true", ValueError("expected int, got True")), ("cure.enabled", "true", True),
+        ("actor.log_std", "[-5, 2]", [-5, 2]), ("srl.head", "rae", "rae")])
+    def test_file_and_override_parse_text_alike(self, tmp_path, key, text, want):
+        def outcome(make):
+            try:
+                return flatten(make())[key]
+            except ValueError as e:
+                return e
+
+        path = tmp_path / "c.txt"
+        path.write_text(f"{key} = {text}\n")
+        via_file = outcome(lambda: load_config(str(path)))
+        via_set = outcome(lambda: build_config(
+            make_parser().parse_args(["train", "--set", f"{key}={text}"])))
+        if isinstance(want, ValueError):
+            assert (str(via_file), str(via_set)) == (f"{path}:1: {want}", str(want))
+        else:
+            assert via_file == via_set == want
 
     def test_set_by_path_rejects_unknown_key(self):
         with pytest.raises(KeyError):
@@ -126,11 +147,10 @@ class TestMetrics:
     def test_writer_reader_roundtrip(self, tmp_path):
         path = str(tmp_path / "m.csv")
         agg = LossAggregator()
-        agg.add("critic_task", 1.0)
-        agg.add("srl", 2.0)
-        agg.add("curious_count", 1)
-        for _ in range(4):
-            agg.add("action_count", 1)
+        agg.add("critic_loss_task", 1.0)
+        agg.add("srl_loss", 2.0)
+        for curious in (1, 0, 0, 0):
+            agg.add("curious_fraction", curious)
         with MetricsWriter(path) as w:
             w.write_row("train", 10, 0, 3.5, agg.flush())
         rows = read_metrics(path)
@@ -155,11 +175,11 @@ class TestMetrics:
 
     def test_aggregator_flush_resets(self):
         agg = LossAggregator()
-        agg.add("srl", 2.0)
-        agg.add("srl", 4.0)
+        agg.add("srl_loss", 2.0)
+        agg.add("srl_loss", 4.0)
         first = agg.flush()
-        assert first["srl"] == 3.0
-        assert agg.flush()["srl"] == 0.0
+        assert first["srl_loss"] == 3.0
+        assert agg.flush()["srl_loss"] == 0.0
 
 
 def mixed_arrays():
@@ -208,7 +228,16 @@ class TestCheckpointFormat:
         blob = bytearray(open(path, "rb").read())
         blob[8:12] = struct.pack("<I", 1)
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(ckpt.CheckpointError, match="version 1, expected 2"):
+        with pytest.raises(ckpt.CheckpointError, match="version 1, expected 3"):
+            ckpt.load(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        # version 2 had no loop mode entry and the old metrics keys
+        path = self._save(tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        blob[8:12] = struct.pack("<I", 2)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ckpt.CheckpointError, match="version 2, expected 3"):
             ckpt.load(path)
 
     def test_hash_mismatch_rejected(self, tmp_path):
@@ -293,7 +322,7 @@ class TestCheckpointFormat:
         meta = {"z": [1, 2], "a": "x"}
         path = self._save(tmp_path, {"b": b, "a": a}, meta, h)
         meta_b = b'{"a": "x", "z": [1, 2]}'
-        expected = (b"CURERLCK" + struct.pack("<I", 2)
+        expected = (b"CURERLCK" + struct.pack("<I", 3)
                     + struct.pack("<H", 64) + h.encode()
                     + struct.pack("<I", 2)
                     + struct.pack("<H", 1) + b"a" + struct.pack("<BB", 0, 2)
@@ -493,6 +522,49 @@ class TestTrainer:
         with pytest.raises(ckpt.CheckpointError, match="main"):
             train(cfg, str(tmp_path), resume=path)
 
+    @pytest.mark.parametrize("saved_cure_only", [False, True])
+    def test_resume_in_another_mode_rejected(self, tmp_path, saved_cure_only):
+        out = str(tmp_path)
+        train(tiny_cfg(steps=15), out, cure_only=saved_cure_only)
+        saved, other = ("cure", "mixed") if saved_cure_only else ("mixed", "cure")
+        with pytest.raises(ckpt.CheckpointError, match=f"'{saved}' mode.*'{other}' mode"):
+            train(tiny_cfg(steps=30), out, cure_only=not saved_cure_only,
+                  resume=os.path.join(out, "checkpoint.ckpt"))
+
+    @pytest.mark.parametrize("pretrain", ["random", "cure"])
+    def test_resume_from_pretraining_matches_uninterrupted_run(self, tmp_path, pretrain):
+        """The checkpoint ``cure-rl pretrain`` writes resumes into the main phase."""
+        def cfg():
+            return tiny_cfg(steps=30, **{"pretrain.mode": pretrain, "pretrain.steps": 15})
+
+        full, split = str(tmp_path / "full"), str(tmp_path / "split")
+        train(cfg(), full)
+        tr = Trainer(cfg(), split)
+        tr.run_pretrain()
+        train(cfg(), split, resume=tr.save_checkpoint(os.path.join(split, "pretrain.ckpt")))
+        for name in ("metrics.csv", "pretrain_metrics.csv", "checkpoint.ckpt"):
+            assert (open(os.path.join(full, name), "rb").read()
+                    == open(os.path.join(split, name), "rb").read()), name
+
+    @pytest.mark.parametrize("head", ["rae", "contrastive"])
+    @pytest.mark.parametrize("mode", ["random", "cure", "mixed"])
+    def test_update_leaves_no_gradient(self, tmp_path, head, mode):
+        cfg = tiny_cfg(**{"srl.head": head})
+        tr = Trainer(cfg, str(tmp_path))
+        tr.obs = tr.env.reset()
+        with MetricsWriter(str(tmp_path / "m.csv")) as w:
+            for t in range(cfg.init_steps):
+                tr._step_once(t, mode, w)
+        tr._update(cfg.init_steps, tr.buffer.sample(cfg.batch_size, tr.streams["replay"]), mode)
+        stepped = [tr.srl.opt]
+        if mode == "mixed":
+            stepped.append(tr.task_agent.actor_opt)
+        if mode != "random":
+            stepped += [tr.curious_agent.critic_opt, tr.curious_agent.alpha_opt]
+        assert all(opt.t == 1 for opt in stepped)
+        assert [n for g in tr.param_groups() for n, p in g.params.items()
+                if p.grad is not None] == []
+
     def test_pretraining_writes_separate_metrics(self, tmp_path):
         cfg = tiny_cfg(**{"pretrain.mode": "cure", "pretrain.steps": 15})
         out = str(tmp_path / "run")
@@ -540,7 +612,7 @@ class TestCompareRuns:
         assert out.returncode == 1, out.stdout + out.stderr
         assert "metrics.csv: identical" in out.stdout
         assert "checkpoint.ckpt: cannot compare:" in out.stdout
-        assert "format version 1, expected 2" in out.stdout
+        assert "format version 1, expected 3" in out.stdout
 
 
 class TestCli:

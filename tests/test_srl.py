@@ -166,12 +166,3 @@ class TestSrlErrorApi:
         e2 = m.srl_error(obs=obs)
         np.testing.assert_array_equal(e1, e2)
         assert all(p.grad is None for p in m.opt.params.values())
-
-    def test_decoder_freq_skips_steps(self):
-        m = model(decoder_freq=2)
-        obs = batch(4)
-        w0 = m.encoder.fc.w.data.copy()
-        m.update(obs=obs)      # update 1: skipped (1 % 2 != 0)
-        np.testing.assert_array_equal(m.encoder.fc.w.data, w0)
-        m.update(obs=obs)      # update 2: applied
-        assert not np.array_equal(m.encoder.fc.w.data, w0)
