@@ -3,13 +3,13 @@
 
     python scripts/compare_runs.py DIR_A DIR_B
 
-``metrics.csv`` and ``pretrain_metrics.csv`` are compared byte for byte. When
-one differs, the first differing row and the largest relative difference in
-each column are printed. ``checkpoint.ckpt`` is compared array by array
-(dtype, shape and bytes) and entry by entry in its metadata; a checkpoint
-either side cannot load (a corrupt file or another format version) is
-reported as a difference. Exits 0 when every file present in either
-directory is identical, 1 otherwise.
+``metrics.csv``, ``pretrain_metrics.csv`` and ``visitation.csv`` are compared
+byte for byte. When one differs, the first differing row and the largest
+relative difference in each column are printed. ``checkpoint.ckpt`` is
+compared array by array (dtype, shape and bytes) and entry by entry in its
+metadata; a checkpoint either side cannot load (a corrupt file or another
+format version) is reported as a difference. Exits 0 when every file present
+in either directory is identical, 1 otherwise.
 """
 
 import argparse
@@ -26,7 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cure_rl import checkpoint
 
-CSVS = ("metrics.csv", "pretrain_metrics.csv")
+CSVS = ("metrics.csv", "pretrain_metrics.csv", "visitation.csv")
 CHECKPOINT = "checkpoint.ckpt"
 SHOWN = 10  # differing arrays listed by name
 

@@ -558,17 +558,16 @@ class AdamState:
         self.v = np.zeros(shape, dtype=dtype)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Standard Adam over parameter groups; ``params`` maps every name to its tensor."""
 
-    def __init__(self, groups, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, groups, lr: float):
         self.groups = list(groups)
         self.params = {n: p for g in self.groups for n, p in g.params.items()}
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.state = {g.name: AdamState(g.data.shape, g.data.dtype) for g in self.groups}
 
@@ -595,15 +594,15 @@ class Adam:
                     if p.grad is not None and not np.all(np.isfinite(p.grad))))
             grads.append(g)
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for group, g in zip(self.groups, grads):
             st = self.state[group.name]
-            st.m = self.beta1 * st.m + (1.0 - self.beta1) * g
-            st.v = self.beta2 * st.v + (1.0 - self.beta2) * (g * g)
+            st.m = ADAM_BETA1 * st.m + (1.0 - ADAM_BETA1) * g
+            st.v = ADAM_BETA2 * st.v + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = st.m / c1
             v_hat = st.v / c2
-            group.set(group.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            group.set(group.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
     # checkpoint support
     def export_arrays(self, prefix: str) -> dict:

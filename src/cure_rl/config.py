@@ -103,10 +103,20 @@ class ExperimentConfig:
         return self.crop_size if self.crop_size > 0 else self.render_size - 4
 
     def validate(self):
-        if self.eval.interval <= 0:
-            raise ValueError("eval.interval must be positive")
-        if self.eval.episodes <= 0:
-            raise ValueError("eval.episodes must be positive")
+        for key, value in (("batch_size", self.batch_size), ("actor.freq", self.actor.freq),
+                           ("critic.target_freq", self.critic.target_freq),
+                           ("eval.interval", self.eval.interval),
+                           ("eval.episodes", self.eval.episodes)):
+            if value <= 0:
+                raise ValueError(f"{key} must be positive")
+        if self.srl.head == "contrastive" and self.batch_size < 2:
+            raise ValueError("srl.head=contrastive needs batch_size >= 2 (in-batch negatives)")
+        log_std = self.actor.log_std
+        numbers_only = all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                           for v in log_std)
+        if len(log_std) != 2 or not numbers_only or not log_std[0] < log_std[1]:
+            raise ValueError("actor.log_std must be two numbers [min, max] with min < max, "
+                             f"got {list(log_std)}")
         if self.srl.head not in ("rae", "contrastive"):
             raise ValueError(f"srl.head must be rae or contrastive, got {self.srl.head!r}")
         if self.pretrain.mode not in ("none", "random", "cure"):

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
+from .config import ExperimentConfig, SrlConfig
 from .srl import SrlModel
 
 
@@ -166,12 +167,16 @@ def gradient_suite(seed: int = 0) -> dict:
     crop = 16
     batch = rng.uniform(0.0, 1.0, (2, 3, crop, crop)).astype(np.float32)
 
-    rae = SrlModel(np.random.default_rng(seed), 3, crop, 8, head="rae")
+    def srl_model(head, seed_offset):
+        cfg = ExperimentConfig(frames=3, crop_size=crop, srl=SrlConfig(head=head, z_dim=8))
+        return SrlModel(np.random.default_rng(seed + seed_offset), cfg)
+
+    rae = srl_model("rae", 0)
     rae_params = [t for t in rae.all_param_tensors().values() if t.requires_grad]
     checks["rae_loss"] = grad_check_inplace(
         lambda: rae.rae_loss(batch)[0], rae_params, h=1e-5, sample=8, seed=seed)
 
-    con = SrlModel(np.random.default_rng(seed + 1), 3, crop, 8, head="contrastive")
+    con = srl_model("contrastive", 1)
     con_params = [t for t in con.opt.params.values() if t.requires_grad]
     anchor = rng.uniform(0.0, 1.0, (3, 3, crop, crop)).astype(np.float32)
     positive = rng.uniform(0.0, 1.0, (3, 3, crop, crop)).astype(np.float32)
@@ -179,7 +184,7 @@ def gradient_suite(seed: int = 0) -> dict:
         lambda: con.infonce_loss(anchor, positive)[0], con_params, h=1e-5, sample=8,
         seed=seed)
 
-    encoder = SrlModel(np.random.default_rng(seed + 2), 3, crop, 8, head="rae")
+    encoder = srl_model("rae", 2)
     checks["encoder_forward"] = grad_check_inplace(
         lambda: ad.reduce_sum(ad.square(encoder.encoder(Tensor(batch)))),
         [t for t in encoder.encoder.params().values() if t.requires_grad],

@@ -6,14 +6,18 @@ renders grayscale frames, stacks the most recent S frames as channels, and
 applies every policy action ``action_repeat`` times while summing rewards.
 
 All tasks run a fixed inner-step horizon T; episodes never terminate early.
+``make_task`` builds the run's task from its ``ExperimentConfig`` (``task``,
+``render_size``, ``frames``, ``action_repeat`` and ``horizon``).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .config import ExperimentConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -27,10 +31,10 @@ def wrap_angle(a):
 class EnvSpec:
     name: str
     action_dim: int
-    render_size: int = 36
-    frames: int = 3
-    action_repeat: int = 4
-    horizon: int = 1000
+    render_size: int
+    frames: int
+    action_repeat: int
+    horizon: int
 
     def __post_init__(self):
         if self.render_size < 16:
@@ -376,19 +380,18 @@ _TASKS = {
 TASK_NAMES = tuple(sorted(_TASKS))
 
 
-def make_task(name: str, rng: np.random.Generator, *, render_size: int = 36,
-              frames: int = 3, action_repeat: int = 0, horizon: int = 1000) -> LiteEnv:
-    """Build a named task; ``action_repeat=0`` keeps the task default."""
-    if name not in _TASKS:
-        raise ValueError(f"unknown task {name!r}; valid tasks: {', '.join(TASK_NAMES)}")
-    info = _TASKS[name]
+def make_task(cfg: ExperimentConfig, rng: np.random.Generator) -> LiteEnv:
+    """Build the task ``cfg.task``; ``action_repeat=0`` keeps the task default."""
+    if cfg.task not in _TASKS:
+        raise ValueError(f"unknown task {cfg.task!r}; valid tasks: {', '.join(TASK_NAMES)}")
+    info = _TASKS[cfg.task]
     spec = EnvSpec(
-        name=name,
+        name=cfg.task,
         action_dim=info["action_dim"],
-        render_size=render_size,
-        frames=frames,
-        action_repeat=action_repeat or info["action_repeat"],
-        horizon=horizon,
+        render_size=cfg.render_size,
+        frames=cfg.frames,
+        action_repeat=cfg.action_repeat or info["action_repeat"],
+        horizon=cfg.horizon,
     )
     return info["cls"](spec, rng, **info["kwargs"])
 

@@ -63,12 +63,14 @@ class ConvTranspose3x3:
         return {f"{self.name}.k": self.k, f"{self.name}.b": self.b}
 
 
+LAYER_NORM_EPS = 1e-5
+
+
 class LayerNorm:
     """Normalization over the last axis with learned gain and bias."""
 
-    def __init__(self, dim: int, name: str, eps: float = 1e-5):
+    def __init__(self, dim: int, name: str):
         self.name = name
-        self.eps = eps
         self.g = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.b = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
@@ -76,7 +78,7 @@ class LayerNorm:
         mu = ad.reduce_mean(x, axis=-1, keepdims=True)
         centered = x - mu
         var = ad.reduce_mean(ad.square(centered), axis=-1, keepdims=True)
-        normed = centered / ad.sqrt(var + self.eps)
+        normed = centered / ad.sqrt(var + LAYER_NORM_EPS)
         return normed * self.g + self.b
 
     def params(self):

@@ -19,7 +19,7 @@ class Batch:
 class ReplayBuffer:
     """Ring buffer over transitions; uniform sampling with replacement."""
 
-    def __init__(self, capacity: int = 80000):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity

@@ -6,18 +6,23 @@ task reward and once for the intrinsic (representation-error) reward. The
 agent never runs the encoder during its updates: the caller passes latents in.
 Critic updates reach the encoder through the graph of the latent they are
 given; actor and temperature updates take detached latents.
+
+Every setting comes from the run's ``ExperimentConfig``: ``hidden_dim``,
+``srl.z_dim`` and the ``critic``, ``actor`` and ``alpha`` sections. Only the
+discount is passed on its own, because the task agent uses ``gamma`` and the
+curious agent ``cure.gamma``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamGroup, Tensor, no_grad
+from .config import ExperimentConfig
 from .layers import Dense, merge_params
 
 log = logging.getLogger(__name__)
@@ -26,30 +31,15 @@ LOG_2PI = math.log(2.0 * math.pi)
 LN2 = math.log(2.0)
 
 
-@dataclass
-class SacHyperparams:
-    hidden_dim: int = 1024
-    gamma: float = 0.99
-    critic_lr: float = 1e-3
-    critic_tau: float = 0.01
-    actor_lr: float = 1e-3
-    log_std_min: float = -10.0
-    log_std_max: float = 2.0
-    alpha_lr: float = 1e-4
-    init_alpha: float = 0.1
-
-
 class GaussianActor:
     """Dense trunk emitting (mu, log_std); actions tanh-squashed into (-1,1)."""
 
-    def __init__(self, rng, z_dim: int, action_dim: int, hidden: int,
-                 log_std_min: float, log_std_max: float, name: str):
+    def __init__(self, rng, cfg: ExperimentConfig, action_dim: int, name: str):
         self.action_dim = action_dim
-        self.log_std_min = log_std_min
-        self.log_std_max = log_std_max
-        self.l1 = Dense(rng, z_dim, hidden, f"{name}.l1")
-        self.l2 = Dense(rng, hidden, hidden, f"{name}.l2")
-        self.l3 = Dense(rng, hidden, 2 * action_dim, f"{name}.l3")
+        self.log_std_min, self.log_std_max = cfg.actor.log_std
+        self.l1 = Dense(rng, cfg.srl.z_dim, cfg.hidden_dim, f"{name}.l1")
+        self.l2 = Dense(rng, cfg.hidden_dim, cfg.hidden_dim, f"{name}.l2")
+        self.l3 = Dense(rng, cfg.hidden_dim, 2 * action_dim, f"{name}.l3")
 
     def dist_params(self, z: Tensor):
         h = ad.relu(self.l1(z))
@@ -107,19 +97,20 @@ class QFunction:
 class SacAgent:
     """One actor-critic-temperature bundle operating on encoder latents."""
 
-    def __init__(self, rng, z_dim: int, action_dim: int, hp: SacHyperparams,
-                 name: str, encoder: ParamGroup | None = None):
+    def __init__(self, rng, cfg: ExperimentConfig, action_dim: int, name: str,
+                 gamma: float, encoder: ParamGroup | None = None):
         self.name = name
-        self.hp = hp
+        self.gamma = gamma
+        self.tau = cfg.critic.tau
         self.action_dim = action_dim
         self.target_entropy = -float(action_dim)
-        self.actor = GaussianActor(rng, z_dim, action_dim, hp.hidden_dim,
-                                   hp.log_std_min, hp.log_std_max, f"{name}.actor")
-        self.q1 = QFunction(rng, z_dim, action_dim, hp.hidden_dim, f"{name}.q1")
-        self.q2 = QFunction(rng, z_dim, action_dim, hp.hidden_dim, f"{name}.q2")
-        self.tq1 = QFunction(rng, z_dim, action_dim, hp.hidden_dim, f"{name}.tq1")
-        self.tq2 = QFunction(rng, z_dim, action_dim, hp.hidden_dim, f"{name}.tq2")
-        self.log_alpha = Tensor(np.array(math.log(hp.init_alpha), dtype=np.float32))
+        self.actor = GaussianActor(rng, cfg, action_dim, f"{name}.actor")
+        z_dim, hidden = cfg.srl.z_dim, cfg.hidden_dim
+        self.q1 = QFunction(rng, z_dim, action_dim, hidden, f"{name}.q1")
+        self.q2 = QFunction(rng, z_dim, action_dim, hidden, f"{name}.q2")
+        self.tq1 = QFunction(rng, z_dim, action_dim, hidden, f"{name}.tq1")
+        self.tq2 = QFunction(rng, z_dim, action_dim, hidden, f"{name}.tq2")
+        self.log_alpha = Tensor(np.array(math.log(cfg.alpha.init), dtype=np.float32))
         self.critic = ParamGroup(f"{name}.critic", merge_params(self.q1, self.q2))
         self.target = ParamGroup(f"{name}.target", merge_params(self.tq1, self.tq2),
                                  requires_grad=False)
@@ -128,9 +119,9 @@ class SacAgent:
         alpha = ParamGroup(f"{name}.alpha", {f"{name}.log_alpha": self.log_alpha})
         self.groups = [self.critic, self.target, actor, alpha]
 
-        self.critic_opt = ad.Adam([self.critic] + ([encoder] if encoder else []), lr=hp.critic_lr)
-        self.actor_opt = ad.Adam([actor], lr=hp.actor_lr)
-        self.alpha_opt = ad.Adam([alpha], lr=hp.alpha_lr)
+        self.critic_opt = ad.Adam([self.critic] + ([encoder] if encoder else []), lr=cfg.critic.lr)
+        self.actor_opt = ad.Adam([actor], lr=cfg.actor.lr)
+        self.alpha_opt = ad.Adam([alpha], lr=cfg.alpha.lr)
 
     @property
     def alpha(self) -> float:
@@ -147,7 +138,7 @@ class SacAgent:
             eps = rng.standard_normal((n, self.action_dim))
             a2, logp2 = self.actor.sample(z_next, eps)
             q = np.minimum(self.tq1(z_next, a2).data, self.tq2(z_next, a2).data)
-            y = rewards + self.hp.gamma * (1.0 - dones) * (q - self.alpha * logp2.data)
+            y = rewards + self.gamma * (1.0 - dones) * (q - self.alpha * logp2.data)
         return y
 
     def update_critic(self, z: Tensor, actions, rewards, dones, z_next: Tensor,
@@ -191,9 +182,8 @@ class SacAgent:
             log.warning("%s: alpha update skipped: %s", self.name, e)
         return actor_loss.item(), alpha_loss.item()
 
-    def polyak(self, tau: float | None = None):
-        tau = self.hp.critic_tau if tau is None else tau
-        self.target.set(tau * self.critic.data + (1.0 - tau) * self.target.data)
+    def polyak(self):
+        self.target.set(self.tau * self.critic.data + (1.0 - self.tau) * self.target.data)
 
     # -- acting --------------------------------------------------------------
     def act(self, encoder, obs: np.ndarray, rng=None, deterministic: bool = False) -> np.ndarray:

@@ -9,6 +9,9 @@ error used as the intrinsic exploration reward:
 * ``contrastive``: instance discrimination over bilinear similarities with a
   momentum key encoder; per-sample error = row-wise cross-entropy against the
   matching in-batch key.
+
+``SrlModel`` takes every setting from the run's ``ExperimentConfig``:
+``frames`` (input channels), ``crop`` and the ``srl`` section.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamGroup, Tensor, no_grad
+from .config import ExperimentConfig
 from .layers import Conv3x3, ConvTranspose3x3, Dense, LayerNorm, merge_params
 
 log = logging.getLogger(__name__)
@@ -96,15 +100,12 @@ class Decoder:
 class SrlModel:
     """Encoder + active head + its optimizer + the per-sample error."""
 
-    def __init__(self, rng, in_channels: int, crop: int, z_dim: int, head: str,
-                 lr: float = 1e-3, lambda_z: float = 1e-6, lambda_theta: float = 1e-7,
-                 key_tau: float = 0.05):
+    def __init__(self, rng, cfg: ExperimentConfig):
+        head, z_dim, in_channels, crop = cfg.srl.head, cfg.srl.z_dim, cfg.frames, cfg.crop
         if head not in HEADS:
             raise ValueError(f"unknown SRL head {head!r}; valid: {HEADS}")
         self.head = head
-        self.lambda_z = lambda_z
-        self.lambda_theta = lambda_theta
-        self.key_tau = key_tau
+        self.cfg = cfg.srl
         self.encoder = Encoder(rng, in_channels, crop, z_dim)
         self.online = ParamGroup("encoder", self.encoder.params())
         self.decoder = None
@@ -120,7 +121,7 @@ class SrlModel:
             self.key = ParamGroup("key_encoder", self.key_encoder.params(), requires_grad=False)
             self.key.set(self.online.data.copy())
             head_group = ParamGroup("bilinear", {"bilinear.W": self.bilinear})
-        self.opt = ad.Adam([self.online, head_group], lr=lr)
+        self.opt = ad.Adam([self.online, head_group], lr=self.cfg.lr)
         self.groups = self.opt.groups + ([self.key] if self.key_encoder else [])
 
     # -- losses ----------------------------------------------------------
@@ -132,15 +133,15 @@ class SrlModel:
             z = self.encoder(t)
         recon = self.decoder(z)
         mse = ad.reduce_mean(ad.square(recon - t), axis=(1, 2, 3))
-        z_pen = ad.reduce_sum(ad.square(z), axis=1) * self.lambda_z
+        z_pen = ad.reduce_sum(ad.square(z), axis=1) * self.cfg.lambda_z
         per_sample = mse + z_pen
         loss = ad.reduce_mean(per_sample)
-        if self.lambda_theta > 0.0:
+        if self.cfg.lambda_theta > 0.0:
             wd = None
             for p in self.decoder.params().values():
                 term = ad.reduce_sum(ad.square(p))
                 wd = term if wd is None else wd + term
-            loss = loss + wd * self.lambda_theta
+            loss = loss + wd * self.cfg.lambda_theta
         if not np.isfinite(loss.item()):
             raise FloatingPointError("non-finite RAE loss")
         return loss, per_sample.data.copy()
@@ -193,7 +194,7 @@ class SrlModel:
         return errors
 
     def ema_update_key(self):
-        tau = self.key_tau
+        tau = self.cfg.key_tau
         self.key.set((1.0 - tau) * self.key.data + tau * self.online.data)
 
     def key_distance(self) -> float:

@@ -44,7 +44,7 @@ from .cure import ActionSource
 from .envs import make_task
 from .metrics import LossAggregator, MetricsWriter
 from .replay import ReplayBuffer, augmented_views, center_crop
-from .sac import SacAgent, SacHyperparams
+from .sac import SacAgent
 from .srl import SrlModel
 
 log = logging.getLogger(__name__)
@@ -93,25 +93,18 @@ class Trainer:
         self.hash = config_hash(cfg)
 
         self.streams = RngStreams(cfg.seed)
-        self.env = make_task(cfg.task, self.streams["env"], render_size=cfg.render_size,
-                             frames=cfg.frames, action_repeat=cfg.action_repeat,
-                             horizon=cfg.horizon)
+        self.env = make_task(cfg, self.streams["env"])
         self.action_dim = self.env.spec.action_dim
         self.crop = cfg.crop
 
         init_rng = self.streams["init"]
-        self.srl = SrlModel(init_rng, cfg.frames, self.crop, cfg.srl.z_dim,
-                            head=cfg.srl.head, lr=cfg.srl.lr,
-                            lambda_z=cfg.srl.lambda_z, lambda_theta=cfg.srl.lambda_theta,
-                            key_tau=cfg.srl.key_tau)
-        task_hp = self._hyperparams(cfg.gamma)
-        self.task_agent = SacAgent(init_rng, cfg.srl.z_dim, self.action_dim, task_hp,
-                                   "task", encoder=self.srl.online)
+        self.srl = SrlModel(init_rng, cfg)
+        self.task_agent = SacAgent(init_rng, cfg, self.action_dim, "task", cfg.gamma,
+                                   encoder=self.srl.online)
         self.curious_agent = None
         if cfg.cure.enabled:
-            cure_hp = self._hyperparams(cfg.cure.gamma)
-            self.curious_agent = SacAgent(init_rng, cfg.srl.z_dim, self.action_dim,
-                                          cure_hp, "cure", encoder=self.srl.online)
+            self.curious_agent = SacAgent(init_rng, cfg, self.action_dim, "cure",
+                                          cfg.cure.gamma, encoder=self.srl.online)
 
         self.buffer = ReplayBuffer(cfg.replay.capacity)
         self.agg = LossAggregator()
@@ -122,14 +115,6 @@ class Trainer:
         self.episode_reward = 0.0
         self.eval_count = 0
         self.obs = None
-
-    def _hyperparams(self, gamma: float) -> SacHyperparams:
-        c = self.cfg
-        return SacHyperparams(
-            hidden_dim=c.hidden_dim, gamma=gamma,
-            critic_lr=c.critic.lr, critic_tau=c.critic.tau, actor_lr=c.actor.lr,
-            log_std_min=c.actor.log_std[0], log_std_max=c.actor.log_std[1],
-            alpha_lr=c.alpha.lr, init_alpha=c.alpha.init)
 
     # -- action selection ---------------------------------------------------
     def _select_action(self, t: int, mode: str):
@@ -299,8 +284,7 @@ class Trainer:
         episodes = episodes or cfg.eval.episodes
         rng = self.streams.eval_rng(self.eval_count)
         self.eval_count += 1
-        env = make_task(cfg.task, rng, render_size=cfg.render_size, frames=cfg.frames,
-                        action_repeat=cfg.action_repeat, horizon=cfg.horizon)
+        env = make_task(cfg, rng)
         total = 0.0
         for _ in range(episodes):
             obs = env.reset()

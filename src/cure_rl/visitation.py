@@ -28,9 +28,7 @@ def _load_groups(path: str, groups):
 
 def build_reference_srl(cfg: ExperimentConfig, checkpoint_path: str) -> SrlModel:
     """Frozen SRL model (encoder + head) restored from a finished run."""
-    rng = np.random.default_rng(0)
-    model = SrlModel(rng, cfg.frames, cfg.crop, cfg.srl.z_dim, head=cfg.srl.head,
-                     lambda_z=cfg.srl.lambda_z, lambda_theta=cfg.srl.lambda_theta)
+    model = SrlModel(np.random.default_rng(0), cfg)
     _load_groups(checkpoint_path, model.groups)
     return model
 
@@ -45,9 +43,7 @@ class CheckpointPolicy:
         rng = np.random.default_rng(0)
         self.crop = cfg.crop
         self.encoder = Encoder(rng, cfg.frames, cfg.crop, cfg.srl.z_dim)
-        self.actor = GaussianActor(rng, cfg.srl.z_dim, action_dim, cfg.hidden_dim,
-                                   cfg.actor.log_std[0], cfg.actor.log_std[1],
-                                   f"{agent}.actor")
+        self.actor = GaussianActor(rng, cfg, action_dim, f"{agent}.actor")
         _load_groups(checkpoint_path, [ParamGroup("encoder", self.encoder.params()),
                                        ParamGroup(f"{agent}.actor", self.actor.params())])
 
@@ -71,8 +67,7 @@ def score_trajectories(cfg: ExperimentConfig, ref_srl: SrlModel, policy,
     """Per-step SRL errors over rollouts of one policy under the frozen model."""
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_VISIT_KEY_BASE + policy_index,)))
-    env = make_task(cfg.task, rng, render_size=cfg.render_size, frames=cfg.frames,
-                    action_repeat=cfg.action_repeat, horizon=cfg.horizon)
+    env = make_task(cfg, rng)
     crop_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_VISIT_KEY_BASE + 100 + policy_index,)))
     errors = []
@@ -97,9 +92,7 @@ def visitation_experiment(cfg: ExperimentConfig, srl_checkpoint: str,
                           episodes: int, out_csv: str) -> dict:
     """Score {random, task, cure} policies against one frozen SRL model."""
     ref = build_reference_srl(cfg, srl_checkpoint)
-    probe_rng = np.random.default_rng(0)
-    env = make_task(cfg.task, probe_rng, render_size=cfg.render_size, frames=cfg.frames)
-    action_dim = env.spec.action_dim
+    action_dim = make_task(cfg, np.random.default_rng(0)).spec.action_dim
     policies = {
         "random": RandomPolicy(action_dim),
         "task": CheckpointPolicy(cfg, task_checkpoint, "task", action_dim),

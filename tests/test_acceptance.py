@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cure_rl import checkpoint as ckpt
-from cure_rl.config import ExperimentConfig, set_by_path
+from cure_rl.config import ExperimentConfig, SrlConfig, set_by_path
 from cure_rl.diagnostics import gradient_suite
 from cure_rl.metrics import read_metrics
 from cure_rl.plotting import plot_reward_curves
@@ -74,8 +74,9 @@ def test_criterion_1_gradient_suite():
 
 
 def test_criterion_2_infonce_identity():
+    cfg = ExperimentConfig(frames=3, crop_size=16, srl=SrlConfig(head="contrastive", z_dim=16))
     for batch_size in (4, 8, 32):
-        m = SrlModel(np.random.default_rng(0), 3, 16, 16, head="contrastive")
+        m = SrlModel(np.random.default_rng(0), cfg)
         m.bilinear.data[:] = 0.0
         rng = np.random.default_rng(1)
         anchor = rng.uniform(0, 1, (batch_size, 3, 16, 16)).astype(np.float32)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cure_rl.config import ExperimentConfig
 from cure_rl.envs import Canvas, EnvSpec, TASK_NAMES, make_task, wrap_angle
 
 ALL_TASKS = list(TASK_NAMES)
 
 
 def make(name="point_reacher", seed=0, **kw):
-    return make_task(name, np.random.default_rng(seed), **kw)
+    return make_task(ExperimentConfig(task=name, **kw), np.random.default_rng(seed))
 
 
 class TestEnvSpec:
@@ -120,7 +121,7 @@ class TestLiteEnv:
 class TestTasks:
     @pytest.mark.parametrize("name", ALL_TASKS)
     def test_every_task_runs(self, name):
-        env = make_task(name, np.random.default_rng(1), render_size=20)
+        env = make(name, 1, render_size=20)
         obs = env.reset()
         assert obs.shape == (3, 20, 20)
         rng = np.random.default_rng(2)
@@ -130,12 +131,12 @@ class TestTasks:
 
     def test_unknown_task_lists_valid_names(self):
         with pytest.raises(ValueError) as e:
-            make_task("noop", np.random.default_rng(0))
+            make("noop")
         for name in ALL_TASKS:
             assert name in str(e.value)
 
     def test_cartpole_reward_unit_interval(self):
-        env = make_task("cartpole_swingup", np.random.default_rng(0), render_size=20)
+        env = make("cartpole_swingup", render_size=20)
         env.reset()
         rng = np.random.default_rng(1)
         for _ in range(30):
@@ -147,15 +148,14 @@ class TestTasks:
     def test_cartpole_starts_hanging_with_low_reward(self):
         rewards = []
         for seed in range(5):
-            env = make_task("cartpole_swingup", np.random.default_rng(seed),
-                            render_size=20)
+            env = make("cartpole_swingup", seed, render_size=20)
             env.reset()
             _, r, _ = env.step(np.zeros(1))
             rewards.append(r / env.spec.action_repeat)
         assert np.mean(rewards) < 0.3
 
     def test_finger_spin_rewards_fast_rotation(self):
-        env = make_task("finger_spin_lite", np.random.default_rng(0), render_size=20)
+        env = make("finger_spin_lite", render_size=20)
         env.reset()
         total = 0.0
         for _ in range(100):
@@ -166,7 +166,7 @@ class TestTasks:
         assert total > 0.0
 
     def test_sparse_reacher_reward_binary_per_inner_step(self):
-        env = make_task("reacher_easy", np.random.default_rng(0), render_size=20)
+        env = make("reacher_easy", render_size=20)
         env.reset()
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -68,6 +68,11 @@ class TestConfig:
         assert flat["alpha.init"] == 0.1
         assert flat["init_steps"] == 1000
         assert flat["cure.beta"] == 1.0
+        assert flat["cure.gamma"] == 0.99
+        assert flat["srl.z_dim"] == 50
+        assert flat["srl.lambda_z"] == 1e-6
+        assert flat["srl.lambda_theta"] == 1e-7
+        assert flat["srl.key_tau"] == 0.05
 
     def test_set_by_path_coerces_types(self):
         cfg = ExperimentConfig()
@@ -134,6 +139,23 @@ class TestConfig:
         cfg = tiny_cfg()
         cfg.cure.p_c = 1.5
         with pytest.raises(ValueError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"actor.freq": 0}, "actor.freq"),
+        ({"critic.target_freq": 0}, "critic.target_freq"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"srl.head": "contrastive", "batch_size": 1}, "batch_size >= 2"),
+        ({"actor.log_std": "[1]"}, "actor.log_std"),
+        ({"actor.log_std": "[2, -10]"}, "actor.log_std"),
+        ({"actor.log_std": '["a", 2]'}, "actor.log_std"),
+    ], ids=["actor_freq", "target_freq", "batch_size", "contrastive_batch_1",
+            "log_std_one_number", "log_std_min_above_max", "log_std_not_numbers"])
+    def test_validate_rejects_settings_that_crash_an_update(self, overrides, match):
+        cfg = tiny_cfg()
+        for key, value in overrides.items():
+            set_by_path(cfg, key, value)
+        with pytest.raises(ValueError, match=match):
             cfg.validate()
 
     def test_validate_rejects_cure_pretraining_without_cure(self):
@@ -599,6 +621,23 @@ class TestCompareRuns:
         assert "first differing row 1:" in other.stdout
         assert "srl_loss: 3 rows differ, largest relative difference" in other.stdout
         assert "arrays, 0 differ;" not in other.stdout
+
+    def test_visitation_csv_compared(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        rows = "policy,min,mean,max\nrandom,0.1,0.2,0.3\ntask,0.1,0.15,0.2\ncure,0.2,0.4,0.9\n"
+        for d in (a, b):
+            d.mkdir()
+            (d / "visitation.csv").write_text(rows)
+        same = self.run_tool(str(a), str(b))
+        assert same.returncode == 0, same.stdout + same.stderr
+        assert "visitation.csv: identical" in same.stdout
+
+        (b / "visitation.csv").write_text(rows.replace("0.4", "0.5"))
+        other = self.run_tool(str(a), str(b))
+        assert other.returncode == 1, other.stdout + other.stderr
+        assert "visitation.csv: differs" in other.stdout
+        assert "first differing row 3:" in other.stdout
+        assert "mean: 1 rows differ, largest relative difference 0.2" in other.stdout
 
     def test_unloadable_checkpoint_reported_as_difference(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

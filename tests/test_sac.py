@@ -5,7 +5,8 @@ import pytest
 
 import cure_rl.autodiff as ad
 from cure_rl.autodiff import Tensor
-from cure_rl.sac import LOG_2PI, GaussianActor, QFunction, SacAgent, SacHyperparams
+from cure_rl.config import ExperimentConfig, SrlConfig
+from cure_rl.sac import LOG_2PI, GaussianActor, QFunction, SacAgent
 from cure_rl.srl import Encoder
 
 Z = 8
@@ -14,19 +15,16 @@ HID = 16
 CROP = 16
 
 
-def hp(**kw):
-    base = dict(hidden_dim=HID, gamma=0.99, critic_lr=1e-3, critic_tau=0.01, actor_lr=1e-3,
-                log_std_min=-10.0, log_std_max=2.0, alpha_lr=1e-4, init_alpha=0.1)
-    base.update(kw)
-    return SacHyperparams(**base)
+def cfg():
+    return ExperimentConfig(hidden_dim=HID, srl=SrlConfig(z_dim=Z))
 
 
-def agent(seed=0, **kw):
-    return SacAgent(np.random.default_rng(seed), Z, ACT, hp(), "task", **kw)
+def agent(seed=0, config=None, **kw):
+    return SacAgent(np.random.default_rng(seed), config or cfg(), ACT, "task", 0.99, **kw)
 
 
 def make_actor(seed=0):
-    return GaussianActor(np.random.default_rng(seed), Z, ACT, HID, -10.0, 2.0, "a")
+    return GaussianActor(np.random.default_rng(seed), cfg(), ACT, "a")
 
 
 class TestActor:
@@ -94,13 +92,15 @@ class TestCriticAndTargets:
 
     def test_polyak_oracle(self):
         """target <- tau * online + (1 - tau) * target, for every target parameter."""
-        ag = agent()
+        config = cfg()
+        config.critic.tau = 0.25
+        ag = agent(config=config)
         for online, target in ((ag.q1, ag.tq1), (ag.q2, ag.tq2)):
             for p in online.params().values():
                 p.data[...] = 2.0
             for p in target.params().values():
                 p.data[...] = 0.0
-        ag.polyak(0.25)
+        ag.polyak()
         for target in (ag.tq1, ag.tq2):
             for p in target.params().values():
                 np.testing.assert_array_equal(p.data, np.full_like(p.data, 0.5))
@@ -131,8 +131,7 @@ class TestCriticAndTargets:
     def test_critic_update_trains_encoder_when_enabled(self):
         rng = np.random.default_rng(0)
         enc = Encoder(np.random.default_rng(1), 3, CROP, Z)
-        ag = SacAgent(np.random.default_rng(2), Z, ACT, hp(), "task",
-                      encoder=ad.ParamGroup("encoder", enc.params()))
+        ag = agent(2, encoder=ad.ParamGroup("encoder", enc.params()))
         w0 = enc.fc.w.data.copy()
         obs = Tensor(rng.random((8, 3, CROP, CROP)).astype(np.float32))
         with ad.no_grad():

@@ -5,6 +5,7 @@ import pytest
 
 import cure_rl.autodiff as ad
 from cure_rl.autodiff import Tensor
+from cure_rl.config import ExperimentConfig, SrlConfig
 from cure_rl.srl import Encoder, SrlModel, conv_out_size
 
 CROP = 16
@@ -15,8 +16,9 @@ def batch(n, seed=0, crop=CROP):
     return np.random.default_rng(seed).uniform(0, 1, (n, 3, crop, crop)).astype(np.float32)
 
 
-def model(head="rae", seed=0, **kw):
-    return SrlModel(np.random.default_rng(seed), 3, CROP, Z, head=head, **kw)
+def model(head="rae", seed=0, **srl):
+    cfg = ExperimentConfig(frames=3, crop_size=CROP, srl=SrlConfig(head=head, z_dim=Z, **srl))
+    return SrlModel(np.random.default_rng(seed), cfg)
 
 
 class TestEncoder:
@@ -74,7 +76,7 @@ class TestRae:
             z = m.encoder(Tensor(obs))
             recon = m.decoder(z)
         mse = np.mean((recon.data - obs) ** 2, axis=(1, 2, 3))
-        expected = mse + m.lambda_z * np.sum(z.data ** 2, axis=1)
+        expected = mse + m.cfg.lambda_z * np.sum(z.data ** 2, axis=1)
         np.testing.assert_allclose(errors, expected, rtol=1e-5)
         np.testing.assert_allclose(loss.item(), expected.mean(), rtol=1e-5)
 
@@ -157,7 +159,7 @@ class TestSrlErrorApi:
 
     def test_unknown_head_rejected(self):
         with pytest.raises(ValueError, match="rae"):
-            SrlModel(np.random.default_rng(0), 3, CROP, Z, head="vae")
+            model(head="vae")
 
     def test_srl_error_is_pure(self):
         m = model()
