@@ -9,6 +9,7 @@ import sys
 
 from .config import ExperimentConfig, load_config, save_config, set_by_path
 from .diagnostics import run_gradient_suite
+from .metrics import COLUMNS
 from .plotting import plot_reward_curves
 from .train import train
 from .visitation import visitation_experiment
@@ -75,7 +76,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("csv", nargs="+", help="metrics.csv files (one per seed)")
     p_plot.add_argument("--out", required=True, metavar="SVG")
     p_plot.add_argument("--kind", default="eval", choices=["eval", "train"])
-    p_plot.add_argument("--column", default="reward")
+    p_plot.add_argument("--column", default="reward", choices=COLUMNS[3:])
     p_plot.add_argument("--title", default="evaluation reward")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient suite")

@@ -109,6 +109,11 @@ class ExperimentConfig:
                            ("eval.episodes", self.eval.episodes)):
             if value <= 0:
                 raise ValueError(f"{key} must be positive")
+        if self.replay.capacity < self.batch_size:
+            raise ValueError(f"replay.capacity ({self.replay.capacity}) must be at least "
+                             f"batch_size ({self.batch_size})")
+        if self.crop > self.render_size:
+            raise ValueError(f"crop size {self.crop} exceeds render_size {self.render_size}")
         if self.srl.head == "contrastive" and self.batch_size < 2:
             raise ValueError("srl.head=contrastive needs batch_size >= 2 (in-batch negatives)")
         log_std = self.actor.log_std

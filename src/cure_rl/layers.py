@@ -88,7 +88,7 @@ class LayerNorm:
 def merge_params(*modules) -> dict:
     out: dict = {}
     for m in modules:
-        p = m.params() if hasattr(m, "params") else m
+        p = m.params()
         dup = set(out) & set(p)
         if dup:
             raise ValueError(f"duplicate parameter names: {sorted(dup)}")

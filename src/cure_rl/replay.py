@@ -82,29 +82,29 @@ class ReplayBuffer:
         )
 
     # -- checkpoint support ------------------------------------------------
-    def export_arrays(self, prefix: str = "buffer") -> dict:
+    def export_arrays(self) -> dict:
         if self.obs is None:
             return {}
         n = self.count
         return {
-            f"{prefix}/obs": self.obs[:n],
-            f"{prefix}/actions": self.actions[:n],
-            f"{prefix}/rewards": self.rewards[:n],
-            f"{prefix}/next_obs": self.next_obs[:n],
-            f"{prefix}/dones": self.dones[:n],
+            "buffer/obs": self.obs[:n],
+            "buffer/actions": self.actions[:n],
+            "buffer/rewards": self.rewards[:n],
+            "buffer/next_obs": self.next_obs[:n],
+            "buffer/dones": self.dones[:n],
         }
 
-    def import_arrays(self, arrays: dict, cursor: int, count: int, prefix: str = "buffer"):
-        if f"{prefix}/obs" not in arrays:
+    def import_arrays(self, arrays: dict, cursor: int, count: int):
+        if "buffer/obs" not in arrays:
             return
-        obs = arrays[f"{prefix}/obs"]
-        self._allocate(obs[0], arrays[f"{prefix}/actions"][0])
+        obs = arrays["buffer/obs"]
+        self._allocate(obs[0], arrays["buffer/actions"][0])
         n = obs.shape[0]
         self.obs[:n] = obs
-        self.actions[:n] = arrays[f"{prefix}/actions"]
-        self.rewards[:n] = arrays[f"{prefix}/rewards"]
-        self.next_obs[:n] = arrays[f"{prefix}/next_obs"]
-        self.dones[:n] = arrays[f"{prefix}/dones"]
+        self.actions[:n] = arrays["buffer/actions"]
+        self.rewards[:n] = arrays["buffer/rewards"]
+        self.next_obs[:n] = arrays["buffer/next_obs"]
+        self.dones[:n] = arrays["buffer/dones"]
         self.cursor = int(cursor)
         self.count = int(count)
 

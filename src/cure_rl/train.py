@@ -14,19 +14,13 @@ agent update, curious agent update. Every random draw comes from a named
 substream of the run seed, so (config, seed) fully determines all outputs and
 disabling the curious policy leaves the remaining streams untouched.
 
-An update step can move the shared encoder three times: in the SRL step,
-the task critic step and the curious critic step. The trainer encodes each
-batch once per encoder version and hands the latents down:
-
-1. After the SRL step: the no-grad next-state latent, which the rae head
-   scores for the intrinsic reward and the task critic bootstraps from; and
-   the graph latent through which the task critic trains the encoder.
-2. After the task critic step: the graph latent through which the curious
-   critic trains the encoder, whose detached values the task actor reads
-   (without a curious update the task actor encodes without a graph); and
-   the next-state latent the curious critic bootstraps from. A step without
-   a task update keeps version 1 and its next-state latent.
-3. After the curious critic step: the detached latent of the curious actor.
+The SRL step and each agent's critic step move the shared encoder. Each
+critic trains through the graph latent of the current encoder and
+bootstraps from that version's no-grad next-state latent, which the rae head
+also scores for the intrinsic reward. An agent re-encodes the batch only when
+its actor (detached) or the next agent's critic (with a graph) needs the
+moved encoder. Every update step marks all seven ``PHASES``, also for an
+agent that its mode does not update or that the run does not have.
 """
 
 from __future__ import annotations
@@ -55,6 +49,9 @@ _STREAMS = ("init", "env", "explore", "task_actor", "task_update",
 _EVAL_KEY_BASE = 1000
 
 PHASES = ("select", "env", "push", "sample", "srl", "task_ac", "curious_ac")
+# the agent roles each loop mode updates; a role names the agent's
+# "<role>_actor" and "<role>_update" streams and its "<role>_ac" phase
+_UPDATED = {"random": (), "cure": ("curious",), "mixed": ("task", "curious")}
 
 
 class RngStreams:
@@ -116,6 +113,10 @@ class Trainer:
         self.eval_count = 0
         self.obs = None
 
+    def _agents(self) -> dict:
+        """Each agent by its role, in update order (``None`` for a run without it)."""
+        return {"task": self.task_agent, "curious": self.curious_agent}
+
     # -- action selection ---------------------------------------------------
     def _select_action(self, t: int, mode: str):
         cfg = self.cfg
@@ -127,13 +128,9 @@ class Trainer:
         else:
             source = cure.choose_source(self.streams["mix"], cfg.cure.p_c,
                                         curious_available=self.curious_agent is not None)
-        obs_c = center_crop(self.obs, self.crop)
-        if source is ActionSource.CURIOUS:
-            a = self.curious_agent.act(self.srl.encoder, obs_c,
-                                       rng=self.streams["curious_actor"])
-        else:
-            a = self.task_agent.act(self.srl.encoder, obs_c,
-                                    rng=self.streams["task_actor"])
+        agent = self._agents()[source.value]
+        a = agent.act(self.srl.encoder, center_crop(self.obs, self.crop),
+                      rng=self.streams[f"{source.value}_actor"])
         return a, source
 
     # -- one collected step ----------------------------------------------------
@@ -167,13 +164,12 @@ class Trainer:
             writer.write_row("eval", t + 1, self.episode, mean_reward, {})
 
     def _update(self, t: int, batch, mode: str):
-        """SRL, task and curious updates on one batch; latents as in the module docstring."""
+        """SRL update, then each agent this mode updates; latents as in the module docstring."""
         cfg, hook, srl = self.cfg, self.phase_hook, self.srl
         rae = cfg.srl.head == "rae"
-        update_task = mode == "mixed"
-        curious = mode != "random" and self.curious_agent is not None
+        agents = self._agents()
+        learners = [role for role in _UPDATED[mode] if agents[role] is not None]
         actor_step = t % cfg.actor.freq == 0
-        target_step = t % cfg.critic.target_freq == 0
         obs_c = center_crop(batch.obs, self.crop)
         next_c = center_crop(batch.next_obs, self.crop)
 
@@ -185,12 +181,11 @@ class Trainer:
         hook(t, "srl")
         self.agg.add("srl_loss", float(np.mean(errors)))
 
-        # version 1: after the SRL step; random pretraining may have no reader
-        z_next = None
-        if update_task or curious or (cfg.cure.enabled and rae):
+        z_next = None   # random pretraining may have no reader
+        if learners or (cfg.cure.enabled and rae):
             with no_grad():
                 z_next = srl.encode(next_c)
-        r_int = None
+        rewards = {"task": batch.rewards}
         if cfg.cure.enabled:
             # reward the state an action leads to: score next_obs so the
             # curious critic sees a direct action -> novelty link
@@ -199,49 +194,30 @@ class Trainer:
             else:
                 na, np_ = augmented_views(batch.next_obs, self.crop, self.streams["crop"])
                 next_errors = srl.srl_error(anchor=na, positive=np_)
-            r_int = cure.intrinsic_reward(next_errors, cfg.cure.beta)
-            self.agg.add("intrinsic_reward_mean", float(np.mean(r_int)))
+            rewards["curious"] = cure.intrinsic_reward(next_errors, cfg.cure.beta)
+            self.agg.add("intrinsic_reward_mean", float(np.mean(rewards["curious"])))
 
-        if update_task:
-            closs = self.task_agent.update_critic(
-                srl.encode(obs_c), batch.actions, batch.rewards, batch.dones, z_next,
-                self.streams["task_update"])
-            self.agg.add("critic_loss_task", closs)
-
-        # version 2: after the task critic step
-        if curious:
-            z = srl.encode(obs_c)
-        elif update_task and actor_step:
-            with no_grad():
-                z = srl.encode(obs_c)
-        if update_task:
-            if actor_step:
-                aloss, alloss = self.task_agent.update_actor_and_alpha(
-                    z.data, self.streams["task_update"])
-                self.agg.add("actor_loss_task", aloss)
-                self.agg.add("alpha_loss_task", alloss)
-            if target_step:
-                self.task_agent.polyak()
-        hook(t, "task_ac")
-
-        if curious:
-            if update_task:
-                with no_grad():
-                    z_next = srl.encode(next_c)
-            closs = self.curious_agent.update_critic(
-                z, batch.actions, r_int, batch.dones, z_next, self.streams["curious_update"])
-            self.agg.add("critic_loss_cure", closs)
-            if actor_step:
-                # version 3: after the curious critic step
-                with no_grad():
+        z = srl.encode(obs_c) if learners else None
+        for role, agent in agents.items():
+            if role in learners:
+                if role != learners[0]:  # the previous critic moved the encoder
+                    with no_grad():
+                        z_next = srl.encode(next_c)
+                rng = self.streams[f"{role}_update"]
+                self.agg.add(f"critic_loss_{agent.name}", agent.update_critic(
+                    z, batch.actions, rewards[role], batch.dones, z_next, rng))
+                if role != learners[-1]:
                     z = srl.encode(obs_c)
-                aloss, alloss = self.curious_agent.update_actor_and_alpha(
-                    z.data, self.streams["curious_update"])
-                self.agg.add("actor_loss_cure", aloss)
-                self.agg.add("alpha_loss_cure", alloss)
-            if target_step:
-                self.curious_agent.polyak()
-            hook(t, "curious_ac")
+                elif actor_step:
+                    with no_grad():
+                        z = srl.encode(obs_c)
+                if actor_step:
+                    aloss, alloss = agent.update_actor_and_alpha(z.data, rng)
+                    self.agg.add(f"actor_loss_{agent.name}", aloss)
+                    self.agg.add(f"alpha_loss_{agent.name}", alloss)
+                if t % cfg.critic.target_freq == 0:
+                    agent.polyak()
+            hook(t, f"{role}_ac")
 
     # -- phases ----------------------------------------------------------------
     def _run(self, phase: str, mode: str, n_steps: int, filename: str,
@@ -298,18 +274,14 @@ class Trainer:
 
     # -- checkpointing -----------------------------------------------------------
     def param_groups(self) -> list:
-        agents = [a for a in (self.task_agent, self.curious_agent) if a is not None]
+        agents = filter(None, self._agents().values())
         return self.srl.groups + [g for a in agents for g in a.groups]
 
     def _optimizers(self) -> dict:
-        opts = {"opt/srl": self.srl.opt,
-                "opt/task.critic": self.task_agent.critic_opt,
-                "opt/task.actor": self.task_agent.actor_opt,
-                "opt/task.alpha": self.task_agent.alpha_opt}
-        if self.curious_agent is not None:
-            opts.update({"opt/cure.critic": self.curious_agent.critic_opt,
-                         "opt/cure.actor": self.curious_agent.actor_opt,
-                         "opt/cure.alpha": self.curious_agent.alpha_opt})
+        opts = {"opt/srl": self.srl.opt}
+        for a in filter(None, self._agents().values()):
+            opts.update({f"opt/{a.name}.critic": a.critic_opt, f"opt/{a.name}.actor": a.actor_opt,
+                         f"opt/{a.name}.alpha": a.alpha_opt})
         return opts
 
     def save_checkpoint(self, path: str | None = None) -> str:

@@ -91,6 +91,8 @@ def visitation_experiment(cfg: ExperimentConfig, srl_checkpoint: str,
                           task_checkpoint: str, cure_checkpoint: str,
                           episodes: int, out_csv: str) -> dict:
     """Score {random, task, cure} policies against one frozen SRL model."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
     ref = build_reference_srl(cfg, srl_checkpoint)
     action_dim = make_task(cfg, np.random.default_rng(0)).spec.action_dim
     policies = {

@@ -23,7 +23,7 @@ from cure_rl.cure import ActionSource
 from cure_rl.metrics import COLUMNS, LossAggregator, MetricsWriter, read_metrics
 from cure_rl.plotting import collect_series, plot_reward_curves
 from cure_rl.srl import Encoder
-from cure_rl.train import Trainer, train
+from cure_rl.train import PHASES, Trainer, train
 
 
 def tiny_cfg(**kw):
@@ -149,8 +149,11 @@ class TestConfig:
         ({"actor.log_std": "[1]"}, "actor.log_std"),
         ({"actor.log_std": "[2, -10]"}, "actor.log_std"),
         ({"actor.log_std": '["a", 2]'}, "actor.log_std"),
+        ({"replay.capacity": 4}, "replay.capacity"),
+        ({"crop_size": 24}, "crop size 24 exceeds render_size 20"),
     ], ids=["actor_freq", "target_freq", "batch_size", "contrastive_batch_1",
-            "log_std_one_number", "log_std_min_above_max", "log_std_not_numbers"])
+            "log_std_one_number", "log_std_min_above_max", "log_std_not_numbers",
+            "capacity_below_batch", "crop_above_render"])
     def test_validate_rejects_settings_that_crash_an_update(self, overrides, match):
         cfg = tiny_cfg()
         for key, value in overrides.items():
@@ -421,11 +424,23 @@ class TestTrainer:
             m.append(open(os.path.join(out, "metrics.csv"), "rb").read())
         assert m[0] == m[1]
 
-    def test_update_step_encodes_each_latent_once(self, tmp_path, monkeypatch):
+    # case -> (mode, overrides, encoder forwards per update step on (actor, other) steps)
+    FORWARDS = {
+        "mixed_rae": ("mixed", {}, (7, 6)),
+        "mixed_rae_no_cure": ("mixed", {"cure.enabled": False}, (5, 4)),
+        "cure": ("cure", {}, (5, 4)),
+        "random": ("random", {}, (2, 2)),
+        "random_no_cure": ("random", {"cure.enabled": False}, (1, 1)),
+        "mixed_contrastive": ("mixed", {"srl.head": "contrastive"}, (8, 7)),
+    }
+
+    @pytest.mark.parametrize("case", list(FORWARDS))
+    def test_update_step_encodes_each_latent_once(self, tmp_path, monkeypatch, case):
         """Encoder forwards per update step, action selection included: one per
-        (batch, encoder version), so an RAE cure step makes 6, plus one for
-        the curious actor on actor steps."""
-        cfg = tiny_cfg(**{"eval.interval": 1000})
+        (batch, encoder version), so a mixed RAE cure step makes 6, plus one
+        for the curious actor on actor steps."""
+        mode, overrides, (actor, other) = self.FORWARDS[case]
+        cfg = tiny_cfg(**{"eval.interval": 1000}, **overrides)
         calls = [0]
         after_step = {}   # step -> encoder forwards so far, at its last phase hook
 
@@ -441,10 +456,22 @@ class TestTrainer:
             return forward(enc, obs, detach)
 
         monkeypatch.setattr(Encoder, "__call__", counted)
-        tr.run_main()
+        tr._run("main", mode, cfg.steps, "metrics.csv")
         steps = range(cfg.init_steps, cfg.steps)
         assert {t: after_step[t] - after_step[t - 1] for t in steps} == \
-            {t: 7 if t % cfg.actor.freq == 0 else 6 for t in steps}
+            {t: actor if t % cfg.actor.freq == 0 else other for t in steps}
+
+    @pytest.mark.parametrize("mode,cure_enabled", [
+        ("random", True), ("random", False), ("cure", True), ("mixed", True), ("mixed", False),
+    ])  # cure mode acts with the curious agent, so it has no run without one
+    def test_every_update_step_marks_every_phase(self, tmp_path, mode, cure_enabled):
+        cfg = tiny_cfg(steps=16, **{"cure.enabled": cure_enabled})
+        marks = {}
+        tr = Trainer(cfg, str(tmp_path),
+                     phase_hook=lambda t, phase: marks.setdefault(t, []).append(phase))
+        tr._run("main", mode, cfg.steps, "metrics.csv")
+        assert {t: tuple(marks[t]) for t in range(cfg.init_steps, cfg.steps)} == \
+            dict.fromkeys(range(cfg.init_steps, cfg.steps), PHASES)
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         full = str(tmp_path / "full")
@@ -686,6 +713,13 @@ class TestCli:
         assert cli_main(["plot", os.path.join(out, "metrics.csv"),
                          "--out", svg]) == 0
         ET.parse(svg)
+
+    @pytest.mark.parametrize("column", ["nope", "kind"])
+    def test_plot_rejects_a_column_that_is_not_a_metric(self, tmp_path, column):
+        with pytest.raises(SystemExit) as e:
+            cli_main(["plot", str(tmp_path / "metrics.csv"), "--out",
+                      str(tmp_path / "r.svg"), "--column", column])
+        assert e.value.code == 2
 
 
 @settings(max_examples=10, deadline=None)

@@ -85,3 +85,12 @@ def test_reference_srl_holds_the_checkpoint_arrays(runs, head, groups):
     assert model.head == head
     assert {g.name for g in model.groups} == groups
     assert_holds(runs[head], [(g.name, g.data) for g in model.groups])
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_episodes_below_one_rejected_before_loading(tmp_path, episodes):
+    missing = str(tmp_path / "missing.ckpt")
+    out = tmp_path / "visitation.csv"
+    with pytest.raises(ValueError, match="episodes"):
+        visitation_experiment(tiny_cfg(), missing, missing, missing, episodes, str(out))
+    assert not out.exists()
