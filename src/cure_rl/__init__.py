@@ -10,4 +10,4 @@ __version__ = "0.1.0"
 
 from .config import ExperimentConfig, load_config  # noqa: F401
 from .envs import make_task  # noqa: F401
-from .train import Trainer, train  # noqa: F401
+from .train import Trainer  # noqa: F401

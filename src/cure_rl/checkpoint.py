@@ -1,21 +1,27 @@
 """Versioned binary checkpoints.
 
-Layout (format ``VERSION`` 3, little-endian): the 8 magic bytes, the version
+Layout (format ``VERSION`` 4, little-endian): the 8 magic bytes, the version
 (``<I``), the config hash (``<H`` length + UTF-8), the array count (``<I``),
 then one record per array in name order -- name (``<H`` length + UTF-8),
 dtype code and ndim (``<BB``), each dimension (``<I``), the C-order data --
-and last the JSON metadata blob (``<Q`` length + UTF-8: RNG states, counters,
-scalars).
+and last the JSON metadata blob (``<Q`` length + UTF-8).
 
-A training run stores each parameter group's flat buffer as ``param/<group>``
-and each optimizer's moments as ``opt/<opt>/<group>/m`` and ``.../v``, one
-pair per group it steps; then the replay buffer's filled rows
-(``buffer/<field>``) and the environment's frame stack (``env/stack``).
-Its metadata holds the phase, its step and its loop ``mode`` (``random``,
-``cure`` or ``mixed``), which ``train`` refuses to resume in another mode, and
-the pending metrics sums and counts (``agg``) keyed by ``metrics.csv`` column.
-Version 1 stored one array per parameter tensor, and version 2 had no
-``mode`` entry and other ``agg`` keys; neither is read.
+Every stateful component exports its state as a nested dict whose ndarray
+leaves are arrays and whose other leaves are JSON values. ``split`` turns
+such a dict into the file's two parts: each ndarray leaf becomes an array
+named by its ``/``-joined key path, and the rest stays nested as metadata.
+``join`` puts the two back together. A training run's state has one key per
+component: ``param`` (each parameter group's flat buffer, ``param/<group>``),
+``opt`` (per optimizer its step count and each group's moments,
+``opt/<opt>/<group>/m`` and ``.../v``), ``buffer`` (the replay buffer's
+cursor, count and filled rows, ``buffer/<field>``), ``env`` (step counter,
+RNG state, frame stack ``env/stack`` and the task's physical state, whose
+ndarray values are arrays such as ``env/state/th``), ``rng`` (the trainer's
+RNG streams), ``agg`` (the pending metrics sums and counts, keyed by
+``metrics.csv`` column) and ``trainer`` (the loop position: phase, step, loop
+``mode``, episode counters and the rows written to the phase's metrics file).
+Versions 1-3 had other layouts (version 3 kept the environment state as
+JSON lists and its metadata flat); none of them is read.
 
 Arrays are streamed: ``save`` writes each one from its own memory and
 ``load`` reads each one straight into a fresh ``np.empty`` array, so neither
@@ -27,6 +33,7 @@ from its result never applies a corrupt or truncated checkpoint.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -36,7 +43,7 @@ import tempfile
 import numpy as np
 
 MAGIC = b"CURERLCK"
-VERSION = 3
+VERSION = 4
 
 _DTYPES = {0: "<f4", 1: "<f8", 2: "<i8", 3: "|u1"}
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
@@ -44,6 +51,35 @@ _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 class CheckpointError(RuntimeError):
     pass
+
+
+def split(state: dict, prefix: str = "") -> tuple[dict, dict]:
+    """(arrays, meta) of a nested state dict: each ndarray leaf becomes an
+    array named by its ``/``-joined key path; every other leaf stays in meta."""
+    arrays, meta = {}, {}
+    for key, value in state.items():
+        if "/" in key:
+            raise CheckpointError(f"state key {prefix + key!r} contains '/'")
+        if isinstance(value, dict):
+            sub_arrays, meta[key] = split(value, f"{prefix}{key}/")
+            arrays.update(sub_arrays)
+        elif isinstance(value, np.ndarray):
+            arrays[prefix + key] = value
+        else:
+            meta[key] = value
+    return arrays, meta
+
+
+def join(arrays: dict, meta: dict) -> dict:
+    """The nested state dict that ``split`` turned into ``arrays`` and ``meta``."""
+    state = copy.deepcopy(meta)
+    for name, arr in arrays.items():
+        *path, leaf = name.split("/")
+        node = state
+        for key in path:
+            node = node.setdefault(key, {})
+        node[leaf] = arr
+    return state
 
 
 def save(path: str, config_hash: str, arrays: dict, meta: dict):

@@ -10,10 +10,11 @@ go to a ``<file>.time`` sidecar so the main CSV is a pure function of
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
+
+from .checkpoint import CheckpointError
 
 COLUMNS = (
     "kind", "step", "episode", "reward",
@@ -60,13 +61,20 @@ class LossAggregator:
 
 
 class MetricsWriter:
-    def __init__(self, path: str, append: bool = False):
+    """Writes ``path`` anew, or with ``rows`` keeps its header and first
+    ``rows`` rows (and as many sidecar lines) and appends after them: a
+    resumed run drops whatever was logged past its checkpoint."""
+
+    def __init__(self, path: str, rows: int = 0):
         self.path = path
+        self.rows = rows
         self._start = time.monotonic()
-        mode = "a" if append and os.path.exists(path) else "w"
-        self._f = open(path, mode)
-        self._tf = open(path + ".time", mode)
-        if mode == "w":
+        if rows:
+            self._f = _open_after(path, rows + 1, rows)
+            self._tf = _open_after(path + ".time", rows, rows)
+        else:
+            self._f = open(path, "w")
+            self._tf = open(path + ".time", "w")
             self._f.write(",".join(COLUMNS) + "\n")
             self._f.flush()
 
@@ -76,6 +84,7 @@ class MetricsWriter:
         self._f.flush()
         self._tf.write(f"{time.monotonic() - self._start:.3f}\n")
         self._tf.flush()
+        self.rows += 1
 
     def close(self):
         self._f.close()
@@ -87,6 +96,17 @@ class MetricsWriter:
     def __exit__(self, *exc):
         self.close()
         return False
+
+
+def _open_after(path: str, lines: int, rows: int):
+    """``path`` open for appending after its first ``lines`` lines, the rest cut off."""
+    with open(path, "a+b") as f:
+        f.seek(0)
+        if not all(f.readline().endswith(b"\n") for _ in range(lines)):
+            raise CheckpointError(
+                f"{path}: holds fewer than the {rows} metric rows the checkpoint recorded")
+        f.truncate(f.tell())
+    return open(path, "a")
 
 
 def read_metrics(path: str) -> list[dict]:

@@ -16,6 +16,9 @@ class Batch:
     dones: np.ndarray       # (B,)
 
 
+_FIELDS = ("obs", "actions", "rewards", "next_obs", "dones")
+
+
 class ReplayBuffer:
     """Ring buffer over transitions; uniform sampling with replacement."""
 
@@ -82,31 +85,19 @@ class ReplayBuffer:
         )
 
     # -- checkpoint support ------------------------------------------------
-    def export_arrays(self) -> dict:
-        if self.obs is None:
-            return {}
-        n = self.count
-        return {
-            "buffer/obs": self.obs[:n],
-            "buffer/actions": self.actions[:n],
-            "buffer/rewards": self.rewards[:n],
-            "buffer/next_obs": self.next_obs[:n],
-            "buffer/dones": self.dones[:n],
-        }
+    def export_state(self) -> dict:
+        state = {"cursor": self.cursor, "count": self.count}
+        if self.obs is not None:
+            state.update({f: getattr(self, f)[:self.count] for f in _FIELDS})
+        return state
 
-    def import_arrays(self, arrays: dict, cursor: int, count: int):
-        if "buffer/obs" not in arrays:
-            return
-        obs = arrays["buffer/obs"]
-        self._allocate(obs[0], arrays["buffer/actions"][0])
-        n = obs.shape[0]
-        self.obs[:n] = obs
-        self.actions[:n] = arrays["buffer/actions"]
-        self.rewards[:n] = arrays["buffer/rewards"]
-        self.next_obs[:n] = arrays["buffer/next_obs"]
-        self.dones[:n] = arrays["buffer/dones"]
-        self.cursor = int(cursor)
-        self.count = int(count)
+    def import_state(self, state: dict):
+        if "obs" in state:
+            self._allocate(state["obs"][0], state["actions"][0])
+            for f in _FIELDS:
+                getattr(self, f)[:len(state[f])] = state[f]
+        self.cursor = int(state["cursor"])
+        self.count = int(state["count"])
 
 
 def random_crop_batch(obs: np.ndarray, out: int, rng: np.random.Generator) -> np.ndarray:

@@ -52,6 +52,10 @@ PHASES = ("select", "env", "push", "sample", "srl", "task_ac", "curious_ac")
 # the agent roles each loop mode updates; a role names the agent's
 # "<role>_actor" and "<role>_update" streams and its "<role>_ac" phase
 _UPDATED = {"random": (), "cure": ("curious",), "mixed": ("task", "curious")}
+# the loop position a checkpoint's ``trainer`` entry holds; ``metrics_rows``
+# counts the rows written to the phase's metrics file
+_RESUMED = ("phase", "phase_t", "mode", "episode", "episode_reward", "eval_count",
+            "metrics_rows")
 
 
 class RngStreams:
@@ -111,6 +115,7 @@ class Trainer:
         self.episode = 0
         self.episode_reward = 0.0
         self.eval_count = 0
+        self.metrics_rows = 0
         self.obs = None
 
     def _agents(self) -> dict:
@@ -225,19 +230,20 @@ class Trainer:
         """The loop every phase runs: steps ``phase_t`` (when resuming, else 0)
         to ``n_steps`` in ``mode``, logging to ``filename`` in the run directory."""
         self.phase, self.mode = phase, mode
-        self.phase_t = self.phase_t if resume else 0
+        if not resume:
+            self.phase_t = self.metrics_rows = 0
         if self.phase_t == 0:
             self.obs = self.env.reset()
             self.episode = 0
             self.episode_reward = 0.0
         path = os.path.join(self.out_dir, filename)
-        with MetricsWriter(path, append=resume) as writer:
+        with MetricsWriter(path, self.metrics_rows) as writer:
             for t in range(self.phase_t, n_steps):
                 try:
                     self._step_once(t, mode, writer)
                 except Exception as e:
                     raise RuntimeError(f"training aborted at {phase} step {t}: {e}") from e
-                self.phase_t = t + 1
+                self.phase_t, self.metrics_rows = t + 1, writer.rows
         return path
 
     def run_pretrain(self) -> None:
@@ -248,7 +254,7 @@ class Trainer:
         # main phase starts from the pretrained encoder/SRL with a fresh buffer,
         # at step 0 in mixed mode: a checkpoint saved here resumes into train()
         self.buffer = ReplayBuffer(cfg.replay.capacity)
-        self.phase, self.phase_t, self.mode = "main", 0, "mixed"
+        self.phase, self.phase_t, self.mode, self.metrics_rows = "main", 0, "mixed", 0
 
     def run_main(self, *, resume: bool = False, cure_only: bool = False) -> str:
         return self._run("main", "cure" if cure_only else "mixed", self.cfg.steps,
@@ -257,7 +263,9 @@ class Trainer:
     # -- evaluation: isolated env and RNG, deterministic task policy -------------
     def evaluate(self, episodes: int | None = None) -> float:
         cfg = self.cfg
-        episodes = episodes or cfg.eval.episodes
+        episodes = cfg.eval.episodes if episodes is None else episodes
+        if episodes < 1:
+            raise ValueError(f"episodes must be at least 1, got {episodes}")
         rng = self.streams.eval_rng(self.eval_count)
         self.eval_count += 1
         env = make_task(cfg, rng)
@@ -278,60 +286,39 @@ class Trainer:
         return self.srl.groups + [g for a in agents for g in a.groups]
 
     def _optimizers(self) -> dict:
-        opts = {"opt/srl": self.srl.opt}
+        opts = {"srl": self.srl.opt}
         for a in filter(None, self._agents().values()):
-            opts.update({f"opt/{a.name}.critic": a.critic_opt, f"opt/{a.name}.actor": a.actor_opt,
-                         f"opt/{a.name}.alpha": a.alpha_opt})
+            opts.update({f"{a.name}.critic": a.critic_opt, f"{a.name}.actor": a.actor_opt,
+                         f"{a.name}.alpha": a.alpha_opt})
         return opts
 
     def save_checkpoint(self, path: str | None = None) -> str:
         path = path or os.path.join(self.out_dir, "checkpoint.ckpt")
-        arrays = {f"param/{g.name}": g.data for g in self.param_groups()}
-        for prefix, opt in self._optimizers().items():
-            arrays.update(opt.export_arrays(prefix))
-        arrays.update(self.buffer.export_arrays())
-        env_snap = self.env.snapshot()
-        arrays["env/stack"] = env_snap["stack"]
-        meta = {
-            "phase": self.phase,
-            "phase_t": self.phase_t,
-            "mode": self.mode,
-            "episode": self.episode,
-            "episode_reward": self.episode_reward,
-            "eval_count": self.eval_count,
-            "agg": self.agg.export_state(),
-            "buffer_cursor": self.buffer.cursor,
-            "buffer_count": self.buffer.count,
+        state = {
+            "param": {g.name: g.data for g in self.param_groups()},
+            "opt": {name: opt.export_state() for name, opt in self._optimizers().items()},
+            "buffer": self.buffer.export_state(),
+            "env": self.env.snapshot(),
             "rng": self.streams.export_state(),
-            "opt_t": {name: opt.t for name, opt in self._optimizers().items()},
-            "env_inner_step": env_snap["inner_step"],
-            "env_state": {k: np.asarray(v).tolist() for k, v in env_snap["state"].items()},
-            "env_rng_state": env_snap["rng_state"],
+            "agg": self.agg.export_state(),
+            "trainer": {k: getattr(self, k) for k in _RESUMED},
         }
-        ckpt.save(path, self.hash, arrays, meta)
+        ckpt.save(path, self.hash, *ckpt.split(state))
         return path
 
     def load_checkpoint(self, path: str):
         arrays, meta, _ = ckpt.load(path, expected_hash=self.hash)
+        state = ckpt.join(arrays, meta)
         for g in self.param_groups():
-            g.set(arrays[f"param/{g.name}"].astype(g.data.dtype))
-        for prefix, opt in self._optimizers().items():
-            opt.import_arrays(prefix, arrays, meta["opt_t"][prefix])
-        self.buffer.import_arrays(arrays, meta["buffer_cursor"], meta["buffer_count"])
-        self.streams.import_state(meta["rng"])
-        self.phase = meta["phase"]
-        self.phase_t = int(meta["phase_t"])
-        self.mode = meta["mode"]
-        self.episode = int(meta["episode"])
-        self.episode_reward = float(meta["episode_reward"])
-        self.eval_count = int(meta["eval_count"])
-        self.agg.import_state(meta["agg"])
-        env_state = {k: (np.asarray(v) if isinstance(v, list) else float(v))
-                     for k, v in meta["env_state"].items()}
-        self.env.restore({"inner_step": meta["env_inner_step"],
-                          "stack": arrays["env/stack"],
-                          "state": env_state,
-                          "rng_state": meta["env_rng_state"]})
+            g.set(state["param"][g.name].astype(g.data.dtype))
+        for name, opt in self._optimizers().items():
+            opt.import_state(state["opt"][name])
+        self.buffer.import_state(state["buffer"])
+        self.env.restore(state["env"])
+        self.streams.import_state(state["rng"])
+        self.agg.import_state(state["agg"])
+        for k in _RESUMED:
+            setattr(self, k, state["trainer"][k])
         self.obs = self.env.stack.copy()
 
 

@@ -27,7 +27,7 @@ class TestOps:
         rng = np.random.default_rng(0)
         a = t(rng.standard_normal((3, 4)))
         b = t(rng.standard_normal((4, 2)))
-        err = grad_check(lambda x, y: ad.reduce_sum(ad.square(ad.matmul(x, y))), [a, b])
+        err = grad_check(lambda: ad.reduce_sum(ad.square(ad.matmul(a, b))), [a, b])
         assert err < 1e-6
 
     def test_broadcast_add_unbroadcasts_grad(self):
@@ -139,9 +139,39 @@ class TestConv:
         rng = np.random.default_rng(2)
         x = t(rng.standard_normal((1, 2, 6, 6)))
         k = t(rng.standard_normal((3, 2, 3, 3)) * 0.4)
-        err = grad_check(lambda a, b: ad.reduce_sum(ad.square(ad.conv2d(a, b, 2))),
+        err = grad_check(lambda: ad.reduce_sum(ad.square(ad.conv2d(x, k, 2))),
                          [x, k], sample=32)
         assert err < 1e-6
+
+
+def _scaled_backward(op, derivative, scale=1.1):
+    """``op`` with its backward pass multiplied by ``scale``: a wrong gradient."""
+    def wrong(a):
+        return ad._make(op(a.data), [a], lambda g: [scale * g * derivative(a.data)])
+    return wrong
+
+
+class TestGradCheck:
+    @pytest.mark.parametrize("op,derivative", [
+        (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
+        (lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(x.dtype)),
+    ], ids=["tanh", "relu"])
+    def test_wrong_backward_is_flagged(self, op, derivative):
+        x = t(np.random.default_rng(3).standard_normal((4, 5)) * 2)
+        right, wrong = _scaled_backward(op, derivative, 1.0), _scaled_backward(op, derivative)
+        assert grad_check(lambda: ad.reduce_sum(ad.square(right(x))), [x]) < 1e-6
+        assert grad_check(lambda: ad.reduce_sum(ad.square(wrong(x))), [x]) > 1e-4
+
+    def test_restores_the_tensors(self):
+        x = t([0.5, -1.5])
+        before = x.data
+        grad_check(lambda: ad.reduce_sum(ad.square(x)), [x])
+        assert x.data is before and x.grad is None
+
+    def test_all_probes_on_a_kink_raise(self):
+        x = t(np.zeros(4))   # relu's gradient jumps at every element
+        with pytest.raises(ValueError, match="kink"):
+            grad_check(lambda: ad.reduce_sum(ad.relu(x)), [x])
 
 
 def _conv2d_loop(x, k, g, stride):
@@ -282,10 +312,11 @@ class TestAdam:
         opt = Adam([ParamGroup("p", {"p": p})], lr=1e-3)
         p.grad = np.ones(3, dtype=np.float32)
         opt.step()
-        arrays = opt.export_arrays("opt")
+        state = opt.export_state()
+        assert state["t"] == 1 and sorted(state["p"]) == ["m", "v"]
         q = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         opt2 = Adam([ParamGroup("p", {"p": q})], lr=1e-3)
-        opt2.import_arrays("opt", arrays, opt.t)
+        opt2.import_state(state)
         q.data[...] = p.data
         p.grad = q.grad = np.full(3, 0.5, dtype=np.float32)
         opt.step()

@@ -20,6 +20,7 @@ from cure_rl.cli import main as cli_main
 from cure_rl.config import (ExperimentConfig, config_hash, flatten, load_config,
                             save_config, set_by_path)
 from cure_rl.cure import ActionSource
+from cure_rl.envs import TASK_NAMES
 from cure_rl.metrics import COLUMNS, LossAggregator, MetricsWriter, read_metrics
 from cure_rl.plotting import collect_series, plot_reward_curves
 from cure_rl.srl import Encoder
@@ -253,7 +254,7 @@ class TestCheckpointFormat:
         blob = bytearray(open(path, "rb").read())
         blob[8:12] = struct.pack("<I", 1)
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(ckpt.CheckpointError, match="version 1, expected 3"):
+        with pytest.raises(ckpt.CheckpointError, match="version 1, expected 4"):
             ckpt.load(path)
 
     def test_version_2_rejected(self, tmp_path):
@@ -262,7 +263,16 @@ class TestCheckpointFormat:
         blob = bytearray(open(path, "rb").read())
         blob[8:12] = struct.pack("<I", 2)
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(ckpt.CheckpointError, match="version 2, expected 3"):
+        with pytest.raises(ckpt.CheckpointError, match="version 2, expected 4"):
+            ckpt.load(path)
+
+    def test_version_3_rejected(self, tmp_path):
+        # version 3 kept the environment state as JSON lists, its metadata flat
+        path = self._save(tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        blob[8:12] = struct.pack("<I", 3)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ckpt.CheckpointError, match="version 3, expected 4"):
             ckpt.load(path)
 
     def test_hash_mismatch_rejected(self, tmp_path):
@@ -347,7 +357,7 @@ class TestCheckpointFormat:
         meta = {"z": [1, 2], "a": "x"}
         path = self._save(tmp_path, {"b": b, "a": a}, meta, h)
         meta_b = b'{"a": "x", "z": [1, 2]}'
-        expected = (b"CURERLCK" + struct.pack("<I", 3)
+        expected = (b"CURERLCK" + struct.pack("<I", 4)
                     + struct.pack("<H", 64) + h.encode()
                     + struct.pack("<I", 2)
                     + struct.pack("<H", 1) + b"a" + struct.pack("<BB", 0, 2)
@@ -356,6 +366,25 @@ class TestCheckpointFormat:
                     + struct.pack("<I", 2) + struct.pack("<2q", 7, -8)
                     + struct.pack("<Q", len(meta_b)) + meta_b)
         assert open(path, "rb").read() == expected
+
+    def test_split_join_roundtrip(self, tmp_path):
+        state = {"param": {"enc": np.arange(3, dtype=np.float32)},
+                 "env": {"stack": np.zeros((2, 2), np.float32), "inner_step": 3,
+                         "state": {"th": np.array([0.1, -2.0]), "x": 0.5}},
+                 "trainer": {"phase": "main"}, "empty": {}}
+        arrays, meta = ckpt.split(state)
+        assert sorted(arrays) == ["env/stack", "env/state/th", "param/enc"]
+        assert meta == {"param": {}, "env": {"inner_step": 3, "state": {"x": 0.5}},
+                        "trainer": {"phase": "main"}, "empty": {}}
+        out = ckpt.join(*ckpt.load(self._save(tmp_path, arrays, meta))[:2])
+        assert out["env"]["state"]["th"].tobytes() == state["env"]["state"]["th"].tobytes()
+        assert ckpt.split(out)[1] == meta
+        assert sorted(ckpt.split(out)[0]) == sorted(arrays)
+        assert ckpt.join(arrays, meta)["trainer"] is not meta["trainer"]
+
+    def test_split_rejects_a_key_with_a_slash(self):
+        with pytest.raises(ckpt.CheckpointError, match="'opt/a/b'"):
+            ckpt.split({"opt": {"a/b": np.zeros(1)}})
 
     def test_load_holds_one_copy_of_the_arrays(self, tmp_path):
         payload = 32 * 2**20
@@ -473,15 +502,57 @@ class TestTrainer:
         assert {t: tuple(marks[t]) for t in range(cfg.init_steps, cfg.steps)} == \
             dict.fromkeys(range(cfg.init_steps, cfg.steps), PHASES)
 
-    def test_resume_matches_uninterrupted_run(self, tmp_path):
+    @pytest.mark.parametrize("task", TASK_NAMES)
+    def test_resume_matches_uninterrupted_run(self, tmp_path, task):
         full = str(tmp_path / "full")
-        train(tiny_cfg(steps=50), full)
+        train(tiny_cfg(steps=50, task=task), full)
         split = str(tmp_path / "split")
-        train(tiny_cfg(steps=25), split)
-        train(tiny_cfg(steps=50), split,
+        train(tiny_cfg(steps=25, task=task), split)
+        train(tiny_cfg(steps=50, task=task), split,
               resume=os.path.join(split, "checkpoint.ckpt"))
-        assert (open(os.path.join(full, "metrics.csv"), "rb").read()
-                == open(os.path.join(split, "metrics.csv"), "rb").read())
+        for name in ("metrics.csv", "checkpoint.ckpt"):
+            assert (open(os.path.join(full, name), "rb").read()
+                    == open(os.path.join(split, name), "rb").read()), name
+
+    @pytest.mark.parametrize("start", ["pretrain", "main"])
+    def test_resume_after_a_killed_run_logs_each_row_once(self, tmp_path, start):
+        """A run resumed from a checkpoint dies past it in the same directory;
+        resuming that checkpoint again rewrites the rows the dead run logged."""
+        def cfg(steps=60):
+            return tiny_cfg(steps=steps, **{"pretrain.mode": "random", "pretrain.steps": 15})
+
+        full, split = str(tmp_path / "full"), str(tmp_path / "split")
+        train(cfg(), full)
+        if start == "pretrain":
+            tr = Trainer(cfg(), split)
+            tr.run_pretrain()
+            path = tr.save_checkpoint(os.path.join(split, "pretrain.ckpt"))
+        else:
+            train(cfg(30), split)
+            path = os.path.join(split, "checkpoint.ckpt")
+
+        def die(t, phase):
+            if t == 50:
+                raise RuntimeError("killed")
+
+        with pytest.raises(RuntimeError, match="main step 50"):
+            train(cfg(), split, resume=path, phase_hook=die)
+        train(cfg(), split, resume=path)
+        for name in ("metrics.csv", "pretrain_metrics.csv", "checkpoint.ckpt"):
+            assert (open(os.path.join(full, name), "rb").read()
+                    == open(os.path.join(split, name), "rb").read()), name
+        lines = [len(open(os.path.join(d, "metrics.csv.time")).readlines()) for d in (full, split)]
+        assert lines[0] == lines[1] == len(read_metrics(os.path.join(full, "metrics.csv")))
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "metrics.csv.time"])
+    def test_resume_with_metrics_rows_missing_raises(self, tmp_path, name):
+        out = str(tmp_path)
+        train(tiny_cfg(steps=25), out)
+        path = os.path.join(out, name)
+        lines = open(path).readlines()
+        open(path, "w").writelines(lines[:-1])
+        with pytest.raises(ckpt.CheckpointError, match=name.replace(".", r"\.")):
+            train(tiny_cfg(steps=50), out, resume=os.path.join(out, "checkpoint.ckpt"))
 
     def test_cure_only_resume_matches_uninterrupted_run(self, tmp_path):
         full = str(tmp_path / "full")
@@ -534,6 +605,13 @@ class TestTrainer:
         assert len(tr.buffer) == n
         for k, s in state_before.items():
             assert tr.streams[k].bit_generator.state == s
+
+    @pytest.mark.parametrize("episodes", [0, -1])
+    def test_evaluate_rejects_fewer_than_one_episode(self, tmp_path, episodes):
+        tr = Trainer(tiny_cfg(**{"eval.episodes": 3}), str(tmp_path))
+        with pytest.raises(ValueError, match="episodes"):
+            tr.evaluate(episodes=episodes)
+        assert tr.eval_count == 0
 
     def test_training_error_names_phase_and_step(self, tmp_path):
         cfg = tiny_cfg()
@@ -678,7 +756,7 @@ class TestCompareRuns:
         assert out.returncode == 1, out.stdout + out.stderr
         assert "metrics.csv: identical" in out.stdout
         assert "checkpoint.ckpt: cannot compare:" in out.stdout
-        assert "format version 1, expected 3" in out.stdout
+        assert "format version 1, expected 4" in out.stdout
 
 
 class TestCli:
@@ -735,3 +813,8 @@ def test_metric_floats_roundtrip_through_csv(tmp_path_factory, vals):
     got = [r["reward"] for r in rows]
     np.testing.assert_allclose(got, [float(np.float32(v)) for v in vals],
                                rtol=1e-6, atol=1e-6)
+
+
+def test_package_does_not_shadow_the_train_module():
+    import cure_rl.train as T
+    assert isinstance(T, types.ModuleType) and T.Trainer is Trainer

@@ -70,16 +70,16 @@ class TestRing:
         np.testing.assert_array_equal(i1, i2)
 
     def test_export_import_roundtrip(self):
-        buf = ReplayBuffer(capacity=8)
-        fill(buf, 6)
-        arrays = buf.export_arrays()
-        buf2 = ReplayBuffer(capacity=8)
-        buf2.import_arrays(arrays, buf.cursor, buf.count)
-        assert len(buf2) == len(buf)
-        b1 = buf.gather(np.arange(6))
-        b2 = buf2.gather(np.arange(6))
-        np.testing.assert_array_equal(b1.obs, b2.obs)
-        np.testing.assert_array_equal(b1.rewards, b2.rewards)
+        for pushes in (0, 6, 11):   # empty, filling, wrapped
+            buf = ReplayBuffer(capacity=8)
+            fill(buf, pushes)
+            buf2 = ReplayBuffer(capacity=8)
+            buf2.import_state(buf.export_state())
+            for b in (buf, buf2):   # the copy goes on exactly like the original
+                fill(b, 3, start=pushes)
+            assert (len(buf2), buf2.cursor) == (len(buf), buf.cursor), pushes
+            for field in ("obs", "actions", "rewards", "next_obs", "dones"):
+                np.testing.assert_array_equal(getattr(buf, field), getattr(buf2, field))
 
 
 @settings(max_examples=30, deadline=None)
