@@ -5,7 +5,9 @@
 
 ``metrics.csv``, ``pretrain_metrics.csv`` and ``visitation.csv`` are compared
 byte for byte. When one differs, the first differing row and the largest
-relative difference in each column are printed. ``checkpoint.ckpt`` is
+relative difference in each column are printed; when the headers differ, the
+columns found in only one file are listed and the shared columns are compared
+by name. ``checkpoint.ckpt`` is
 compared array by array (dtype, shape and bytes) and entry by entry in its
 metadata; a checkpoint either side cannot load (a corrupt file or another
 format version) is reported as a difference. Exits 0 when every file present
@@ -37,14 +39,28 @@ def _rel(x: str, y: str) -> float:
     return d if math.isfinite(d) else math.inf
 
 
+def _project(rows: list, header: list) -> list:
+    """The data rows of a CSV (``rows[0]`` is its header) cut down to the
+    columns of ``header``, in that order; a missing cell reads as empty."""
+    idx = [rows[0].index(c) for c in header]
+    return [[r[j] if j < len(r) else "" for j in idx] for r in rows[1:]]
+
+
 def csv_report(a: bytes, b: bytes) -> list:
     """Lines locating the differences between two differing CSV files."""
     rows_a = list(csv.reader(io.StringIO(a.decode())))
     rows_b = list(csv.reader(io.StringIO(b.decode())))
-    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+    if not rows_a or not rows_b:
         return ["  headers differ"]
-    header, rows_a, rows_b = rows_a[0], rows_a[1:], rows_b[1:]
     lines = []
+    if rows_a[0] != rows_b[0]:
+        lines.append("  headers differ")
+        for side, mine, other in (("A", rows_a[0], rows_b[0]), ("B", rows_b[0], rows_a[0])):
+            only = [c for c in mine if c not in other]
+            if only:
+                lines.append(f"  columns only in {side}: " + ", ".join(only))
+    header = [c for c in rows_a[0] if c in rows_b[0]]
+    rows_a, rows_b = (_project(rows, header) for rows in (rows_a, rows_b))
     if len(rows_a) != len(rows_b):
         lines.append(f"  {len(rows_a)} vs {len(rows_b)} rows")
     first = next((i for i, (x, y) in enumerate(zip(rows_a, rows_b)) if x != y), None)
@@ -53,8 +69,7 @@ def csv_report(a: bytes, b: bytes) -> list:
                   "    A: " + ",".join(rows_a[first]),
                   "    B: " + ",".join(rows_b[first])]
     for j, col in enumerate(header):
-        pairs = [(x[j], y[j]) for x, y in zip(rows_a, rows_b)
-                 if j < min(len(x), len(y)) and x[j] != y[j]]
+        pairs = [(x[j], y[j]) for x, y in zip(rows_a, rows_b) if x[j] != y[j]]
         if not pairs:
             continue
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -103,6 +104,10 @@ class ExperimentConfig:
         return self.crop_size if self.crop_size > 0 else self.render_size - 4
 
     def validate(self):
+        for key, value in flatten(self).items():
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{key} must be finite, got {value}")
         for key, value in (("batch_size", self.batch_size), ("actor.freq", self.actor.freq),
                            ("critic.target_freq", self.critic.target_freq),
                            ("eval.interval", self.eval.interval),

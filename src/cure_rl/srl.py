@@ -12,6 +12,12 @@ error used as the intrinsic exploration reward:
 
 ``SrlModel`` takes every setting from the run's ``ExperimentConfig``:
 ``frames`` (input channels), ``crop`` and the ``srl`` section.
+
+Both heads sit behind one loss entry, ``SrlModel.loss``: ``update(*args)``
+and ``srl_error(*args)`` pass their arguments to it. ``rae`` takes
+``(obs, z=None)``: the centre-cropped batch and an optional cache ``z`` of
+its latent at the current encoder, which only this head uses. ``contrastive``
+takes ``(anchor, positive)``: two augmented views of the batch.
 """
 
 from __future__ import annotations
@@ -121,6 +127,7 @@ class SrlModel:
             self.key = ParamGroup("key_encoder", self.key_encoder.params(), requires_grad=False)
             self.key.set(self.online.data.copy())
             head_group = ParamGroup("bilinear", {"bilinear.W": self.bilinear})
+        self.loss = self.rae_loss if head == "rae" else self.infonce_loss
         self.opt = ad.Adam([self.online, head_group], lr=self.cfg.lr)
         self.groups = self.opt.groups + ([self.key] if self.key_encoder else [])
 
@@ -146,16 +153,12 @@ class SrlModel:
             raise FloatingPointError("non-finite RAE loss")
         return loss, per_sample.data.copy()
 
-    def _key_encode(self, obs: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return self.key_encoder(Tensor(obs)).data
-
     def infonce_loss(self, anchor: np.ndarray, positive: np.ndarray):
         """Returns (scalar loss Tensor, per-sample errors ndarray)."""
         if anchor.shape[0] < 2:
             raise ValueError("contrastive loss needs a batch of at least 2 (no negatives)")
-        q = self.encoder(anchor if isinstance(anchor, Tensor) else Tensor(anchor))
-        keys = self._key_encode(positive)           # detached momentum keys
+        q = self.encoder(Tensor(anchor))
+        keys = self.key_encoder(Tensor(positive), detach=True).data  # momentum keys
         logits = ad.matmul(ad.matmul(q, self.bilinear), Tensor(keys.T))
         per_sample = ad.log_softmax_cross_entropy(logits, np.arange(anchor.shape[0]))
         loss = ad.reduce_mean(per_sample)
@@ -165,40 +168,25 @@ class SrlModel:
     def encode(self, obs: np.ndarray) -> Tensor:
         return self.encoder(Tensor(obs))
 
-    def srl_error(self, obs=None, anchor=None, positive=None, z=None) -> np.ndarray:
-        """Per-sample error of the active head; pure evaluation. The rae head
-        reuses the latent ``z`` of ``obs`` when given."""
+    def srl_error(self, *args) -> np.ndarray:
+        """Per-sample error of the active head on its loss arguments; pure evaluation."""
         with no_grad():
-            if self.head == "rae":
-                if obs is None:
-                    raise ValueError("rae head needs obs")
-                _, errors = self.rae_loss(obs, z)
-            else:
-                if anchor is None or positive is None:
-                    raise ValueError("contrastive head needs (anchor, positive)")
-                _, errors = self.infonce_loss(anchor, positive)
-        return errors
+            return self.loss(*args)[1]
 
-    def update(self, obs=None, anchor=None, positive=None) -> np.ndarray:
+    def update(self, *args) -> np.ndarray:
         """One gradient step on the active loss; returns PRE-step errors."""
-        if self.head == "rae":
-            loss, errors = self.rae_loss(obs)
-        else:
-            loss, errors = self.infonce_loss(anchor, positive)
+        loss, errors = self.loss(*args)
         try:
             self.opt.minimize(loss)
         except ad.NonFiniteGradientError as e:
             log.warning("SRL update skipped: %s", e)
-        if self.head == "contrastive":
+        if self.key_encoder:
             self.ema_update_key()
         return errors
 
     def ema_update_key(self):
         tau = self.cfg.key_tau
         self.key.set((1.0 - tau) * self.key.data + tau * self.online.data)
-
-    def key_distance(self) -> float:
-        return float(np.sqrt(np.sum((self.key.data - self.online.data) ** 2)))
 
     def all_param_tensors(self) -> dict:
         return {n: p for g in self.groups for n, p in g.params.items()}

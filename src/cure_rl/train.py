@@ -14,6 +14,10 @@ agent update, curious agent update. Every random draw comes from a named
 substream of the run seed, so (config, seed) fully determines all outputs and
 disabling the curious policy leaves the remaining streams untouched.
 
+The SRL step and the intrinsic reward (the SRL error of ``next_obs``) call
+either head through ``srl.update``/``srl.srl_error`` with the arguments of
+``Trainer._srl_args``, the trainer's one reader of ``srl.head``.
+
 The SRL step and each agent's critic step move the shared encoder. Each
 critic trains through the graph latent of the current encoder and
 bootstraps from that version's no-grad next-state latent, which the rae head
@@ -168,37 +172,33 @@ class Trainer:
             mean_reward = self.evaluate()
             writer.write_row("eval", t + 1, self.episode, mean_reward, {})
 
+    def _srl_args(self, raw, centred, z=None) -> tuple:
+        """Loss arguments of the active SRL head for one batch: the centre crop
+        and its latent (if encoded) for rae, two augmented views for contrastive."""
+        if self.cfg.srl.head == "rae":
+            return centred, z
+        return augmented_views(raw, self.crop, self.streams["crop"])
+
     def _update(self, t: int, batch, mode: str):
         """SRL update, then each agent this mode updates; latents as in the module docstring."""
         cfg, hook, srl = self.cfg, self.phase_hook, self.srl
-        rae = cfg.srl.head == "rae"
         agents = self._agents()
         learners = [role for role in _UPDATED[mode] if agents[role] is not None]
         actor_step = t % cfg.actor.freq == 0
         obs_c = center_crop(batch.obs, self.crop)
         next_c = center_crop(batch.next_obs, self.crop)
 
-        if rae:
-            errors = srl.update(obs=obs_c)
-        else:
-            anchor, positive = augmented_views(batch.obs, self.crop, self.streams["crop"])
-            errors = srl.update(anchor=anchor, positive=positive)
+        errors = srl.update(*self._srl_args(batch.obs, obs_c))
         hook(t, "srl")
         self.agg.add("srl_loss", float(np.mean(errors)))
 
-        z_next = None   # random pretraining may have no reader
-        if learners or (cfg.cure.enabled and rae):
-            with no_grad():
-                z_next = srl.encode(next_c)
+        with no_grad():   # random pretraining has no critic to read z_next
+            z_next = srl.encode(next_c) if learners else None
         rewards = {"task": batch.rewards}
         if cfg.cure.enabled:
             # reward the state an action leads to: score next_obs so the
             # curious critic sees a direct action -> novelty link
-            if rae:
-                next_errors = srl.srl_error(obs=next_c, z=z_next)
-            else:
-                na, np_ = augmented_views(batch.next_obs, self.crop, self.streams["crop"])
-                next_errors = srl.srl_error(anchor=na, positive=np_)
+            next_errors = srl.srl_error(*self._srl_args(batch.next_obs, next_c, z_next))
             rewards["curious"] = cure.intrinsic_reward(next_errors, cfg.cure.beta)
             self.agg.add("intrinsic_reward_mean", float(np.mean(rewards["curious"])))
 

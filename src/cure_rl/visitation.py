@@ -76,12 +76,11 @@ def score_trajectories(cfg: ExperimentConfig, ref_srl: SrlModel, policy,
         done = False
         while not done:
             if ref_srl.head == "rae":
-                e = ref_srl.srl_error(obs=center_crop(obs, cfg.crop)[None])
+                e = ref_srl.srl_error(center_crop(obs, cfg.crop)[None])
             else:
                 a, p = augmented_views(obs[None], cfg.crop, crop_rng)
                 # a batch of one has no negatives; score against itself + one shifted copy
-                e = ref_srl.srl_error(anchor=np.concatenate([a, p]),
-                                      positive=np.concatenate([p, a]))[:1]
+                e = ref_srl.srl_error(np.concatenate([a, p]), np.concatenate([p, a]))[:1]
             errors.append(float(e[0]))
             obs, _, done = env.step(policy.act(obs, rng))
     return np.asarray(errors)

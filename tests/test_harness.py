@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from cure_rl import checkpoint as ckpt
 from cure_rl.cli import build_config, make_parser
@@ -160,6 +160,14 @@ class TestConfig:
         for key, value in overrides.items():
             set_by_path(cfg, key, value)
         with pytest.raises(ValueError, match=match):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["cure.beta", "critic.tau", "srl.lr", "actor.log_std"])
+    def test_validate_rejects_non_finite_settings(self, key, value):
+        cfg = tiny_cfg()
+        set_by_path(cfg, key, [float(value), 2.0] if key == "actor.log_std" else value)
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
             cfg.validate()
 
     def test_validate_rejects_cure_pretraining_without_cure(self):
@@ -461,6 +469,12 @@ class TestTrainer:
         "random": ("random", {}, (2, 2)),
         "random_no_cure": ("random", {"cure.enabled": False}, (1, 1)),
         "mixed_contrastive": ("mixed", {"srl.head": "contrastive"}, (8, 7)),
+        "mixed_contrastive_no_cure": ("mixed", {"srl.head": "contrastive",
+                                                "cure.enabled": False}, (5, 4)),
+        "cure_contrastive": ("cure", {"srl.head": "contrastive"}, (6, 5)),
+        "random_contrastive": ("random", {"srl.head": "contrastive"}, (2, 2)),
+        "random_contrastive_no_cure": ("random", {"srl.head": "contrastive",
+                                                  "cure.enabled": False}, (1, 1)),
     }
 
     @pytest.mark.parametrize("case", list(FORWARDS))
@@ -514,35 +528,61 @@ class TestTrainer:
             assert (open(os.path.join(full, name), "rb").read()
                     == open(os.path.join(split, name), "rb").read()), name
 
-    @pytest.mark.parametrize("start", ["pretrain", "main"])
-    def test_resume_after_a_killed_run_logs_each_row_once(self, tmp_path, start):
-        """A run resumed from a checkpoint dies past it in the same directory;
-        resuming that checkpoint again rewrites the rows the dead run logged."""
+    # a checkpoint casts the contrastive head's float64 bilinear weight (and
+    # the float64 encoder state it spreads to) back to float32 on load
+    RESUME_CAST = pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: float64 contrastive training does not survive a checkpoint"))
+
+    @pytest.mark.parametrize("start,head,cure_only", [
+        ("pretrain", "rae", False), ("main", "rae", False), ("main", "rae", True),
+        pytest.param("main", "contrastive", False, marks=RESUME_CAST),
+        pytest.param("main", "contrastive", True, marks=RESUME_CAST),
+    ], ids=["pretrain", "main", "cure_only", "contrastive", "contrastive_cure_only"])
+    def test_resume_after_a_killed_run_logs_each_row_once(self, tmp_path, start, head,
+                                                           cure_only):
+        """A run resumed from a checkpoint (saved after pretraining, or at main
+        step 30) dies at any later step in the same directory; resuming that
+        checkpoint again rewrites the rows the dead run logged."""
         def cfg(steps=60):
-            return tiny_cfg(steps=steps, **{"pretrain.mode": "random", "pretrain.steps": 15})
+            return tiny_cfg(steps=steps, **{"srl.head": head, "pretrain.mode": "random",
+                                            "pretrain.steps": 15})
 
-        full, split = str(tmp_path / "full"), str(tmp_path / "split")
-        train(cfg(), full)
+        full, base = str(tmp_path / "full"), str(tmp_path / "base")
+        train(cfg(), full, cure_only=cure_only)
         if start == "pretrain":
-            tr = Trainer(cfg(), split)
+            tr = Trainer(cfg(), base)
             tr.run_pretrain()
-            path = tr.save_checkpoint(os.path.join(split, "pretrain.ckpt"))
+            tr.save_checkpoint(os.path.join(base, "resume.ckpt"))
         else:
-            train(cfg(30), split)
-            path = os.path.join(split, "checkpoint.ckpt")
+            train(cfg(30), base, cure_only=cure_only)
+            os.rename(os.path.join(base, "checkpoint.ckpt"), os.path.join(base, "resume.ckpt"))
 
-        def die(t, phase):
-            if t == 50:
-                raise RuntimeError("killed")
+        # no shrinking, so a failing (strict-xfail) case stops at its first example
+        @settings(max_examples=2, deadline=None, database=None, phases=[Phase.generate])
+        @given(kill=st.integers(0 if start == "pretrain" else 30, 59))
+        def killed_then_resumed(kill):
+            split = str(tmp_path / f"split_{kill}")
+            shutil.rmtree(split, ignore_errors=True)
+            shutil.copytree(base, split)
+            path = os.path.join(split, "resume.ckpt")
 
-        with pytest.raises(RuntimeError, match="main step 50"):
-            train(cfg(), split, resume=path, phase_hook=die)
-        train(cfg(), split, resume=path)
-        for name in ("metrics.csv", "pretrain_metrics.csv", "checkpoint.ckpt"):
-            assert (open(os.path.join(full, name), "rb").read()
-                    == open(os.path.join(split, name), "rb").read()), name
-        lines = [len(open(os.path.join(d, "metrics.csv.time")).readlines()) for d in (full, split)]
-        assert lines[0] == lines[1] == len(read_metrics(os.path.join(full, "metrics.csv")))
+            def die(t, phase):
+                if t == kill:
+                    raise RuntimeError("killed")
+
+            with pytest.raises(RuntimeError, match=f"main step {kill}"):
+                train(cfg(), split, resume=path, phase_hook=die, cure_only=cure_only)
+            train(cfg(), split, resume=path, cure_only=cure_only)
+            for name in ("metrics.csv", "pretrain_metrics.csv", "checkpoint.ckpt"):
+                a, b = (os.path.join(d, name) for d in (full, split))
+                assert os.path.exists(a) == os.path.exists(b), name
+                if os.path.exists(a):
+                    assert open(a, "rb").read() == open(b, "rb").read(), name
+            lines = [len(open(os.path.join(d, "metrics.csv.time")).readlines())
+                     for d in (full, split)]
+            assert lines[0] == lines[1] == len(read_metrics(os.path.join(full, "metrics.csv")))
+
+        killed_then_resumed()
 
     @pytest.mark.parametrize("name", ["metrics.csv", "metrics.csv.time"])
     def test_resume_with_metrics_rows_missing_raises(self, tmp_path, name):
@@ -743,6 +783,21 @@ class TestCompareRuns:
         assert "visitation.csv: differs" in other.stdout
         assert "first differing row 3:" in other.stdout
         assert "mean: 1 rows differ, largest relative difference 0.2" in other.stdout
+
+    def test_csv_columns_compared_by_name_when_headers_differ(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        (a / "visitation.csv").write_text(
+            "policy,min,mean,max\nrandom,0.1,0.2,0.3\ncure,0.2,0.4,0.9\n")
+        (b / "visitation.csv").write_text(
+            "policy,min,spread,mean,max\nrandom,0.1,0.2,0.2,0.3\ncure,0.2,0.7,0.4,0.9\n")
+        out = self.run_tool(str(a), str(b))
+        assert out.returncode == 1, out.stdout + out.stderr
+        assert "visitation.csv: differs" in out.stdout
+        assert "columns only in B: spread" in out.stdout
+        assert "only in A" not in out.stdout
+        assert "rows differ" not in out.stdout and "first differing row" not in out.stdout
 
     def test_unloadable_checkpoint_reported_as_difference(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -89,12 +89,12 @@ class TestRae:
     def test_update_returns_pre_step_errors_and_learns(self):
         m = model(lr=1e-3)
         obs = batch(8)
-        before = m.srl_error(obs=obs)
-        first = m.update(obs=obs)
+        before = m.srl_error(obs)
+        first = m.update(obs)
         np.testing.assert_allclose(first, before, rtol=1e-6)
         for _ in range(30):
-            m.update(obs=obs)
-        after = m.srl_error(obs=obs)
+            m.update(obs)
+        after = m.srl_error(obs)
         assert after.mean() < before.mean()
 
     def test_nonfinite_loss_raises(self):
@@ -120,26 +120,26 @@ class TestContrastive:
 
     def test_key_encoder_starts_as_copy_and_is_frozen(self):
         m = model(head="contrastive")
-        assert m.key_distance() == 0.0
+        np.testing.assert_array_equal(m.key.data, m.online.data)
         assert all(not p.requires_grad for p in m.key_encoder.params().values())
 
     def test_key_ema_tracks_online_encoder(self):
         m = model(head="contrastive", key_tau=0.5)
         for p in m.encoder.params().values():
             p.data += 0.1
-        d0 = m.key_distance()
+        d0 = np.linalg.norm(m.key.data - m.online.data)
         m.ema_update_key()
-        d1 = m.key_distance()
+        d1 = np.linalg.norm(m.key.data - m.online.data)
         assert 0 < d1 < d0
         np.testing.assert_allclose(d1, d0 * 0.5, rtol=1e-5)
 
     def test_update_reduces_loss_on_fixed_pair(self):
         m = model(head="contrastive", lr=1e-3)
         a, p = batch(8, seed=2), batch(8, seed=3)
-        before = m.srl_error(anchor=a, positive=p).mean()
+        before = m.srl_error(a, p).mean()
         for _ in range(30):
-            m.update(anchor=a, positive=p)
-        assert m.srl_error(anchor=a, positive=p).mean() < before
+            m.update(a, p)
+        assert m.srl_error(a, p).mean() < before
 
     def test_keys_do_not_receive_gradients(self):
         m = model(head="contrastive")
@@ -149,14 +149,6 @@ class TestContrastive:
 
 
 class TestSrlErrorApi:
-    def test_rae_requires_obs(self):
-        with pytest.raises(ValueError):
-            model().srl_error(anchor=batch(2), positive=batch(2))
-
-    def test_contrastive_requires_pair(self):
-        with pytest.raises(ValueError):
-            model(head="contrastive").srl_error(obs=batch(2))
-
     def test_unknown_head_rejected(self):
         with pytest.raises(ValueError, match="rae"):
             model(head="vae")
@@ -164,7 +156,7 @@ class TestSrlErrorApi:
     def test_srl_error_is_pure(self):
         m = model()
         obs = batch(4)
-        e1 = m.srl_error(obs=obs)
-        e2 = m.srl_error(obs=obs)
+        e1 = m.srl_error(obs)
+        e2 = m.srl_error(obs)
         np.testing.assert_array_equal(e1, e2)
         assert all(p.grad is None for p in m.opt.params.values())
