@@ -25,6 +25,7 @@ def main():
 
     cfg = load_config(os.path.join(ROOT, "configs", "desk_point_reacher.txt"))
     cfg.seed = 0
+    cfg.mode = "cure"
     for kv in args.set:
         key, value = kv.split("=", 1)
         set_by_path(cfg, key, value)
@@ -32,7 +33,7 @@ def main():
 
     ckpt = os.path.join(args.out, "checkpoint.ckpt")
     if not os.path.exists(ckpt):
-        train(cfg, args.out, cure_only=True)
+        train(cfg, args.out)
     ref = build_reference_srl(cfg, ckpt)
 
     # the task_base run was trained with the unmodified config

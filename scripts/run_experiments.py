@@ -55,8 +55,8 @@ def reacher_hard_battery(sub: str, seeds, **overrides):
 
 def visitation_battery(episodes: int):
     cure_out = os.path.join(RESULTS, "visitation", "cure_only")
-    cfg = desk_cfg("desk_point_reacher.txt", **{"seed": 0, "out": cure_out})
-    run("visitation/cure_only", lambda: train(cfg, cure_out, cure_only=True), cure_out)
+    cfg = desk_cfg("desk_point_reacher.txt", **{"seed": 0, "mode": "cure", "out": cure_out})
+    run("visitation/cure_only", lambda: train(cfg, cure_out), cure_out)
 
     task_out = os.path.join(RESULTS, "visitation", "task_base")
     tcfg = desk_cfg("desk_point_reacher.txt",

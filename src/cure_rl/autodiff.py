@@ -49,8 +49,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_TYPES:
             arr = arr.astype(np.float32)
         self.data = arr

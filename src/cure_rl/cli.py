@@ -53,9 +53,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run the full training protocol")
     _add_config_flags(p_train)
     p_train.add_argument("--resume", metavar="CKPT",
-                         help="resume from a main-phase checkpoint (also with --cure-only)")
-    p_train.add_argument("--cure-only", action="store_true",
-                         help="train only the curious agent (no task reward)")
+                         help="resume from a main-phase checkpoint of the same config")
 
     p_pre = sub.add_parser("pretrain", help="run only the pretraining phase")
     _add_config_flags(p_pre)
@@ -93,9 +91,7 @@ def main(argv=None) -> int:
     if args.command == "train":
         cfg = build_config(args)
         out_dir = cfg.out or "runs/latest"
-        os.makedirs(out_dir, exist_ok=True)
-        save_config(cfg, os.path.join(out_dir, "config.txt"))
-        train(cfg, out_dir, resume=args.resume, cure_only=args.cure_only)
+        train(cfg, out_dir, resume=args.resume)
         print(f"run complete: {out_dir}")
         return 0
 

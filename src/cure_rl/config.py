@@ -90,6 +90,7 @@ class ExperimentConfig:
     horizon: int = 1000
     crop_size: int = 0         # 0 = render_size - 4
     out: str = "runs"
+    mode: str = "mixed"        # main-phase loop: mixed | cure (curious agent only)
     critic: CriticConfig = field(default_factory=CriticConfig)
     actor: ActorConfig = field(default_factory=ActorConfig)
     alpha: AlphaConfig = field(default_factory=AlphaConfig)
@@ -111,9 +112,13 @@ class ExperimentConfig:
         for key, value in (("batch_size", self.batch_size), ("actor.freq", self.actor.freq),
                            ("critic.target_freq", self.critic.target_freq),
                            ("eval.interval", self.eval.interval),
-                           ("eval.episodes", self.eval.episodes)):
+                           ("eval.episodes", self.eval.episodes),
+                           ("hidden_dim", self.hidden_dim), ("srl.z_dim", self.srl.z_dim)):
             if value <= 0:
                 raise ValueError(f"{key} must be positive")
+        for key, value in (("critic.tau", self.critic.tau), ("srl.key_tau", self.srl.key_tau)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{key} must be in [0,1], got {value}")
         if self.replay.capacity < self.batch_size:
             raise ValueError(f"replay.capacity ({self.replay.capacity}) must be at least "
                              f"batch_size ({self.batch_size})")
@@ -129,10 +134,15 @@ class ExperimentConfig:
                              f"got {list(log_std)}")
         if self.srl.head not in ("rae", "contrastive"):
             raise ValueError(f"srl.head must be rae or contrastive, got {self.srl.head!r}")
+        if self.mode not in ("mixed", "cure"):
+            raise ValueError(f"mode must be mixed|cure, got {self.mode!r}")
         if self.pretrain.mode not in ("none", "random", "cure"):
             raise ValueError(f"pretrain.mode must be none|random|cure, got {self.pretrain.mode!r}")
-        if self.pretrain.mode == "cure" and not self.cure.enabled:
-            raise ValueError("pretrain.mode=cure requires cure.enabled")
+        if self.mode == "cure" and self.pretrain.mode != "none":
+            raise ValueError("mode=cure runs no pretraining; set pretrain.mode=none")
+        for key, value in (("mode", self.mode), ("pretrain.mode", self.pretrain.mode)):
+            if value == "cure" and not self.cure.enabled:
+                raise ValueError(f"{key}=cure requires cure.enabled")
         self.cure.validate()
 
 
@@ -190,8 +200,8 @@ def set_by_path(cfg: ExperimentConfig, path: str, value):
     setattr(obj, leaf, _coerce(value, target_type))
 
 
-def load_config(path: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base if base is not None else ExperimentConfig()
+def load_config(path: str) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()

@@ -113,13 +113,12 @@ def gradient_suite(seed: int = 0) -> dict:
     return checks
 
 
-def run_gradient_suite(seed: int = 0, tol: float = 1e-4, verbose: bool = True):
+def run_gradient_suite(seed: int = 0, tol: float = 1e-4):
     """Print the suite results; returns (checks, worst_error)."""
     checks = gradient_suite(seed)
     worst = max(checks.values())
-    if verbose:
-        for name in sorted(checks):
-            status = "ok" if checks[name] < tol else "FAIL"
-            print(f"{name:24s} {checks[name]:.3e}  {status}")
-        print(f"worst: {worst:.3e} (tolerance {tol:g})")
+    for name in sorted(checks):
+        status = "ok" if checks[name] < tol else "FAIL"
+        print(f"{name:24s} {checks[name]:.3e}  {status}")
+    print(f"worst: {worst:.3e} (tolerance {tol:g})")
     return checks, worst

@@ -51,8 +51,6 @@ class Encoder:
     """Four 3x3 convs (stride 2,1,1,1) + dense projection + layer norm + tanh."""
 
     def __init__(self, rng, in_channels: int, crop: int, z_dim: int, name: str = "encoder"):
-        self.crop = crop
-        self.z_dim = z_dim
         self.convs = [
             Conv3x3(rng, in_channels, NUM_FILTERS, 2, f"{name}.conv1"),
             Conv3x3(rng, NUM_FILTERS, NUM_FILTERS, 1, f"{name}.conv2"),

@@ -4,9 +4,9 @@ modes, evaluation protocol, and checkpoint resume.
 Every phase runs one loop in one of three modes, named like the values of
 ``pretrain.mode``. ``"random"`` acts at random and updates only the SRL model.
 ``"cure"`` seeds at random, then acts with the curious policy and updates the
-SRL model and the curious agent (curious pretraining, cure-only runs).
-``"mixed"`` seeds at random, then mixes task and curious actions, runs every
-update and evaluates every ``eval.interval`` steps (the main phase).
+SRL model and the curious agent. ``"mixed"`` seeds at random, then mixes task
+and curious actions, runs every update and evaluates every ``eval.interval``
+steps. The config sets each phase's mode: ``pretrain.mode``, then ``mode``.
 
 Per collected step the loop runs, in order: select action, environment step,
 buffer push, batch sample, SRL update (returning the intrinsic reward), task
@@ -37,7 +37,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import cure
 from .autodiff import no_grad
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, config_hash, save_config
 from .cure import ActionSource
 from .envs import make_task
 from .metrics import LossAggregator, MetricsWriter
@@ -58,8 +58,7 @@ PHASES = ("select", "env", "push", "sample", "srl", "task_ac", "curious_ac")
 _UPDATED = {"random": (), "cure": ("curious",), "mixed": ("task", "curious")}
 # the loop position a checkpoint's ``trainer`` entry holds; ``metrics_rows``
 # counts the rows written to the phase's metrics file
-_RESUMED = ("phase", "phase_t", "mode", "episode", "episode_reward", "eval_count",
-            "metrics_rows")
+_RESUMED = ("phase", "phase_t", "episode", "episode_reward", "eval_count", "metrics_rows")
 
 
 class RngStreams:
@@ -115,7 +114,6 @@ class Trainer:
         self.agg = LossAggregator()
         self.phase = "main"
         self.phase_t = 0
-        self.mode = "mixed"
         self.episode = 0
         self.episode_reward = 0.0
         self.eval_count = 0
@@ -229,7 +227,7 @@ class Trainer:
              resume: bool = False) -> str:
         """The loop every phase runs: steps ``phase_t`` (when resuming, else 0)
         to ``n_steps`` in ``mode``, logging to ``filename`` in the run directory."""
-        self.phase, self.mode = phase, mode
+        self.phase = phase
         if not resume:
             self.phase_t = self.metrics_rows = 0
         if self.phase_t == 0:
@@ -252,13 +250,12 @@ class Trainer:
             return
         self._run("pretrain", cfg.pretrain.mode, cfg.pretrain.steps, "pretrain_metrics.csv")
         # main phase starts from the pretrained encoder/SRL with a fresh buffer,
-        # at step 0 in mixed mode: a checkpoint saved here resumes into train()
+        # at step 0: a checkpoint saved here resumes into train()
         self.buffer = ReplayBuffer(cfg.replay.capacity)
-        self.phase, self.phase_t, self.mode, self.metrics_rows = "main", 0, "mixed", 0
+        self.phase, self.phase_t, self.metrics_rows = "main", 0, 0
 
-    def run_main(self, *, resume: bool = False, cure_only: bool = False) -> str:
-        return self._run("main", "cure" if cure_only else "mixed", self.cfg.steps,
-                         "metrics.csv", resume)
+    def run_main(self, *, resume: bool = False) -> str:
+        return self._run("main", self.cfg.mode, self.cfg.steps, "metrics.csv", resume)
 
     # -- evaluation: isolated env and RNG, deterministic task policy -------------
     def evaluate(self, episodes: int | None = None) -> float:
@@ -323,26 +320,19 @@ class Trainer:
 
 
 def train(cfg: ExperimentConfig, out_dir: str | None = None,
-          resume: str | None = None, phase_hook=None, cure_only: bool = False) -> Trainer:
-    """Full protocol: optional pretraining phase, then the main loop. With
-    ``cure_only`` the main loop trains only the SRL model and the curious agent
-    (no task reward is consumed) and pretraining is skipped. ``resume`` takes a
-    main-phase checkpoint saved in the same loop mode."""
-    if cure_only and not cfg.cure.enabled:
-        raise ValueError("cure-only training requires cure.enabled")
+          resume: str | None = None, phase_hook=None) -> Trainer:
+    """Full protocol: optional pretraining phase, then the main loop in the
+    config's ``mode``. ``resume`` takes a main-phase checkpoint of the same
+    config; the run's ``config.txt`` is written only once that is checked."""
     trainer = Trainer(cfg, out_dir, phase_hook=phase_hook)
     if resume:
         trainer.load_checkpoint(resume)
         if trainer.phase != "main":
             raise ckpt.CheckpointError(
                 f"can only resume a main-phase checkpoint, found {trainer.phase!r}")
-        mode = "cure" if cure_only else "mixed"
-        if trainer.mode != mode:
-            raise ckpt.CheckpointError(
-                f"{resume}: checkpoint was trained in {trainer.mode!r} mode, "
-                f"cannot resume it in {mode!r} mode")
-    elif not cure_only:
+    save_config(cfg, os.path.join(trainer.out_dir, "config.txt"))
+    if not resume:
         trainer.run_pretrain()
-    trainer.run_main(resume=bool(resume), cure_only=cure_only)
+    trainer.run_main(resume=bool(resume))
     trainer.save_checkpoint()
     return trainer

@@ -1,7 +1,9 @@
 """Experiment harness: config, metrics, checkpoints, plotting, CLI, trainer."""
 
+import glob
 import itertools
 import os
+import shlex
 import shutil
 import struct
 import subprocess
@@ -25,6 +27,8 @@ from cure_rl.metrics import COLUMNS, LossAggregator, MetricsWriter, read_metrics
 from cure_rl.plotting import collect_series, plot_reward_curves
 from cure_rl.srl import Encoder
 from cure_rl.train import PHASES, Trainer, train
+
+REPO = os.path.join(os.path.dirname(__file__), "..")
 
 
 def tiny_cfg(**kw):
@@ -127,6 +131,8 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
         b.gamma = 0.5
         assert config_hash(a) != config_hash(b)
+        c = tiny_cfg(mode="cure")
+        assert config_hash(a) != config_hash(c)
 
     def test_crop_defaults_to_render_minus_four(self):
         cfg = ExperimentConfig()
@@ -152,9 +158,19 @@ class TestConfig:
         ({"actor.log_std": '["a", 2]'}, "actor.log_std"),
         ({"replay.capacity": 4}, "replay.capacity"),
         ({"crop_size": 24}, "crop size 24 exceeds render_size 20"),
+        ({"hidden_dim": 0}, "hidden_dim must be positive"),
+        ({"srl.z_dim": 0}, "srl.z_dim must be positive"),
+        ({"critic.tau": 3}, r"critic.tau must be in \[0,1\]"),
+        ({"critic.tau": -0.1}, r"critic.tau must be in \[0,1\]"),
+        ({"srl.key_tau": 1.5}, r"srl.key_tau must be in \[0,1\]"),
+        ({"mode": "random"}, r"mode must be mixed\|cure, got .random."),
+        ({"mode": "cure", "cure.enabled": False}, "^mode=cure requires cure.enabled"),
+        ({"mode": "cure", "pretrain.mode": "random"}, "mode=cure runs no pretraining"),
     ], ids=["actor_freq", "target_freq", "batch_size", "contrastive_batch_1",
             "log_std_one_number", "log_std_min_above_max", "log_std_not_numbers",
-            "capacity_below_batch", "crop_above_render"])
+            "capacity_below_batch", "crop_above_render", "hidden_dim_0", "z_dim_0",
+            "tau_above_1", "tau_below_0", "key_tau_above_1", "mode_random",
+            "cure_mode_without_cure", "cure_mode_with_pretraining"])
     def test_validate_rejects_settings_that_crash_an_update(self, overrides, match):
         cfg = tiny_cfg()
         for key, value in overrides.items():
@@ -533,28 +549,29 @@ class TestTrainer:
     RESUME_CAST = pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 1: float64 contrastive training does not survive a checkpoint"))
 
-    @pytest.mark.parametrize("start,head,cure_only", [
-        ("pretrain", "rae", False), ("main", "rae", False), ("main", "rae", True),
-        pytest.param("main", "contrastive", False, marks=RESUME_CAST),
-        pytest.param("main", "contrastive", True, marks=RESUME_CAST),
+    @pytest.mark.parametrize("start,head,mode", [
+        ("pretrain", "rae", "mixed"), ("main", "rae", "mixed"), ("main", "rae", "cure"),
+        pytest.param("main", "contrastive", "mixed", marks=RESUME_CAST),
+        pytest.param("main", "contrastive", "cure", marks=RESUME_CAST),
     ], ids=["pretrain", "main", "cure_only", "contrastive", "contrastive_cure_only"])
-    def test_resume_after_a_killed_run_logs_each_row_once(self, tmp_path, start, head,
-                                                           cure_only):
+    def test_resume_after_a_killed_run_logs_each_row_once(self, tmp_path, start, head, mode):
         """A run resumed from a checkpoint (saved after pretraining, or at main
         step 30) dies at any later step in the same directory; resuming that
         checkpoint again rewrites the rows the dead run logged."""
         def cfg(steps=60):
-            return tiny_cfg(steps=steps, **{"srl.head": head, "pretrain.mode": "random",
-                                            "pretrain.steps": 15})
+            # a cure-mode run has no pretraining phase
+            pretrain = "random" if mode == "mixed" else "none"
+            return tiny_cfg(steps=steps, mode=mode, **{
+                "srl.head": head, "pretrain.mode": pretrain, "pretrain.steps": 15})
 
         full, base = str(tmp_path / "full"), str(tmp_path / "base")
-        train(cfg(), full, cure_only=cure_only)
+        train(cfg(), full)
         if start == "pretrain":
             tr = Trainer(cfg(), base)
             tr.run_pretrain()
             tr.save_checkpoint(os.path.join(base, "resume.ckpt"))
         else:
-            train(cfg(30), base, cure_only=cure_only)
+            train(cfg(30), base)
             os.rename(os.path.join(base, "checkpoint.ckpt"), os.path.join(base, "resume.ckpt"))
 
         # no shrinking, so a failing (strict-xfail) case stops at its first example
@@ -571,8 +588,8 @@ class TestTrainer:
                     raise RuntimeError("killed")
 
             with pytest.raises(RuntimeError, match=f"main step {kill}"):
-                train(cfg(), split, resume=path, phase_hook=die, cure_only=cure_only)
-            train(cfg(), split, resume=path, cure_only=cure_only)
+                train(cfg(), split, resume=path, phase_hook=die)
+            train(cfg(), split, resume=path)
             for name in ("metrics.csv", "pretrain_metrics.csv", "checkpoint.ckpt"):
                 a, b = (os.path.join(d, name) for d in (full, split))
                 assert os.path.exists(a) == os.path.exists(b), name
@@ -596,10 +613,10 @@ class TestTrainer:
 
     def test_cure_only_resume_matches_uninterrupted_run(self, tmp_path):
         full = str(tmp_path / "full")
-        train(tiny_cfg(steps=50), full, cure_only=True)
+        train(tiny_cfg(steps=50, mode="cure"), full)
         split = str(tmp_path / "split")
-        train(tiny_cfg(steps=25), split, cure_only=True)
-        train(tiny_cfg(steps=50), split, cure_only=True,
+        train(tiny_cfg(steps=25, mode="cure"), split)
+        train(tiny_cfg(steps=50, mode="cure"), split,
               resume=os.path.join(split, "checkpoint.ckpt"))
         for name in ("metrics.csv", "checkpoint.ckpt"):
             assert (open(os.path.join(full, name), "rb").read()
@@ -607,8 +624,7 @@ class TestTrainer:
 
     def test_cure_only_resume_from_missing_checkpoint_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            train(tiny_cfg(), str(tmp_path), cure_only=True,
-                  resume=str(tmp_path / "missing.ckpt"))
+            train(tiny_cfg(mode="cure"), str(tmp_path), resume=str(tmp_path / "missing.ckpt"))
         assert not os.path.exists(tmp_path / "metrics.csv")
 
     def test_seeding_is_random_and_only_mixed_mode_draws_the_mix(self, tmp_path):
@@ -689,13 +705,14 @@ class TestTrainer:
         with pytest.raises(ckpt.CheckpointError, match="main"):
             train(cfg, str(tmp_path), resume=path)
 
-    @pytest.mark.parametrize("saved_cure_only", [False, True])
-    def test_resume_in_another_mode_rejected(self, tmp_path, saved_cure_only):
+    @pytest.mark.parametrize("saved_in_cure", [False, True])
+    def test_resume_in_another_mode_rejected(self, tmp_path, saved_in_cure):
+        """The config hash covers the mode, so its check refuses the resume."""
         out = str(tmp_path)
-        train(tiny_cfg(steps=15), out, cure_only=saved_cure_only)
-        saved, other = ("cure", "mixed") if saved_cure_only else ("mixed", "cure")
-        with pytest.raises(ckpt.CheckpointError, match=f"'{saved}' mode.*'{other}' mode"):
-            train(tiny_cfg(steps=30), out, cure_only=not saved_cure_only,
+        saved, other = ("cure", "mixed") if saved_in_cure else ("mixed", "cure")
+        train(tiny_cfg(steps=15, mode=saved), out)
+        with pytest.raises(ckpt.CheckpointError, match="config hash mismatch"):
+            train(tiny_cfg(steps=30, mode=other), out,
                   resume=os.path.join(out, "checkpoint.ckpt"))
 
     @pytest.mark.parametrize("pretrain", ["random", "cure"])
@@ -814,9 +831,55 @@ class TestCompareRuns:
         assert "format version 1, expected 4" in out.stdout
 
 
+def quick_start_commands() -> list:
+    """The ``cure-rl`` commands of README's Quick start, as argument lists."""
+    readme = open(os.path.join(REPO, "README.md")).read()
+    block = readme.split("## Quick start", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cure-rl ")]
+
+
 class TestCli:
+    TINY = ["--task", "point_reacher", "--seed", "2", "--steps", "20",
+            "--set", "batch_size=8", "--set", "hidden_dim=32",
+            "--set", "init_steps=10", "--set", "render_size=20",
+            "--set", "crop_size=16", "--set", "horizon=40",
+            "--set", "srl.z_dim=16", "--set", "replay.capacity=200",
+            "--set", "eval.interval=10", "--set", "eval.episodes=1"]
+
     def test_gradcheck_subcommand_passes(self, capsys):
         assert cli_main(["gradcheck", "--tol", "1e-4"]) == 0
+
+    def test_refused_resume_leaves_config_txt_alone(self, tmp_path):
+        out = str(tmp_path / "run")
+        cli_main(["train", *self.TINY, "--out", out])
+        path = os.path.join(out, "config.txt")
+        before = open(path, "rb").read()
+        with pytest.raises(ckpt.CheckpointError, match="config hash mismatch"):
+            cli_main(["train", *self.TINY, "--steps", "30", "--set", "cure.beta=5",
+                      "--resume", os.path.join(out, "checkpoint.ckpt"), "--out", out])
+        assert open(path, "rb").read() == before
+
+    def test_run_reproduces_itself_from_its_config_txt(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        cli_main(["train", *self.TINY, "--set", "mode=cure", "--out", a])
+        cli_main(["train", "--config", os.path.join(a, "config.txt"), "--out", b])
+        assert "mode=\"cure\"\n" in open(os.path.join(b, "config.txt")).read()
+        assert (open(os.path.join(a, "metrics.csv"), "rb").read()
+                == open(os.path.join(b, "metrics.csv"), "rb").read())
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(REPO, "configs", "*.txt"))),
+                             ids=os.path.basename)
+    def test_shipped_config_loads_and_validates(self, path):
+        load_config(path).validate()
+
+    @pytest.mark.parametrize("argv", quick_start_commands(),
+                             ids=lambda argv: f"{argv[0]}:{argv[-1]}")
+    def test_readme_quick_start_command_parses(self, monkeypatch, argv):
+        monkeypatch.chdir(REPO)
+        args = make_parser().parse_args(argv)
+        if args.command in ("train", "pretrain", "visitation"):
+            build_config(args)
 
     def test_train_subcommand_with_overrides(self, tmp_path):
         out = str(tmp_path / "run")

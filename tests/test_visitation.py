@@ -37,7 +37,7 @@ def runs(tmp_path_factory):
     train(tiny_cfg(**{"cure.enabled": False}), out["task"])
     for head, overrides in HEADS.items():
         out[head] = str(root / f"cure_{head}")
-        train(tiny_cfg(**overrides), out[head], cure_only=True)
+        train(tiny_cfg(mode="cure", **overrides), out[head])
     return {name: os.path.join(d, "checkpoint.ckpt") for name, d in out.items()}
 
 
