@@ -118,6 +118,9 @@ def main(argv=None) -> int:
                                         args.cure_ckpt, args.episodes, out_csv)
         for name, r in results.items():
             print(f"{name}: min={r['min']:.6g} mean={r['mean']:.6g} max={r['max']:.6g}")
+        cure_mean = results["cure"]["mean"]
+        print(f"mean ratio cure/random={cure_mean / results['random']['mean']:.3g} "
+              f"cure/task={cure_mean / results['task']['mean']:.3g}")
         print(f"wrote {out_csv}")
         return 0
 

@@ -395,3 +395,19 @@ def make_task(cfg: ExperimentConfig, rng: np.random.Generator) -> LiteEnv:
     )
     return info["cls"](spec, rng, **info["kwargs"])
 
+
+def rollout(env: LiteEnv, act, episodes: int, visit=None) -> float:
+    """Runs ``episodes`` episodes of ``env``, each from ``env.reset()``, with
+    ``act(obs)`` choosing every action; the one episode loop outside training.
+    ``visit(obs)`` sees each observation before the action chosen for it, so
+    never an episode's final one. Returns the mean episode return."""
+    total = 0.0
+    for _ in range(episodes):
+        obs = env.reset()
+        done = False
+        while not done:
+            if visit is not None:
+                visit(obs)
+            obs, r, done = env.step(act(obs))
+            total += r
+    return total / episodes

@@ -10,6 +10,7 @@ go to a ``<file>.time`` sidecar so the main CSV is a pure function of
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -70,8 +71,11 @@ class MetricsWriter:
         self.rows = rows
         self._start = time.monotonic()
         if rows:
-            self._f = _open_after(path, rows + 1, rows)
-            self._tf = _open_after(path + ".time", rows, rows)
+            end, time_end = check_rows(path, rows)   # both files, before either is cut
+            os.truncate(path, end)
+            os.truncate(path + ".time", time_end)
+            self._f = open(path, "a")
+            self._tf = open(path + ".time", "a")
         else:
             self._f = open(path, "w")
             self._tf = open(path + ".time", "w")
@@ -98,15 +102,21 @@ class MetricsWriter:
         return False
 
 
-def _open_after(path: str, lines: int, rows: int):
-    """``path`` open for appending after its first ``lines`` lines, the rest cut off."""
-    with open(path, "a+b") as f:
-        f.seek(0)
-        if not all(f.readline().endswith(b"\n") for _ in range(lines)):
-            raise CheckpointError(
-                f"{path}: holds fewer than the {rows} metric rows the checkpoint recorded")
-        f.truncate(f.tell())
-    return open(path, "a")
+def check_rows(path: str, rows: int) -> tuple[int, int]:
+    """Where the first ``rows`` metric rows end in ``path`` (after its header)
+    and in its ``.time`` sidecar; ``CheckpointError`` if either holds fewer."""
+    return _end_of(path, rows + 1, rows), _end_of(path + ".time", rows, rows)
+
+
+def _end_of(path: str, lines: int, rows: int) -> int:
+    try:
+        with open(path, "rb") as f:
+            if all(f.readline().endswith(b"\n") for _ in range(lines)):
+                return f.tell()
+    except FileNotFoundError:
+        pass
+    raise CheckpointError(
+        f"{path}: holds fewer than the {rows} metric rows the checkpoint recorded")
 
 
 def read_metrics(path: str) -> list[dict]:

@@ -25,6 +25,9 @@ also scores for the intrinsic reward. An agent re-encodes the batch only when
 its actor (detached) or the next agent's critic (with a graph) needs the
 moved encoder. Every update step marks all seven ``PHASES``, also for an
 agent that its mode does not update or that the run does not have.
+
+Evaluation runs the deterministic task policy through ``envs.rollout``, the
+episode loop the visitation experiment also runs, on its own env and stream.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from . import cure
 from .autodiff import no_grad
 from .config import ExperimentConfig, config_hash, save_config
 from .cure import ActionSource
-from .envs import make_task
-from .metrics import LossAggregator, MetricsWriter
+from .envs import make_task, rollout
+from .metrics import LossAggregator, MetricsWriter, check_rows
 from .replay import ReplayBuffer, augmented_views, center_crop
 from .sac import SacAgent
 from .srl import SrlModel
@@ -265,17 +268,8 @@ class Trainer:
             raise ValueError(f"episodes must be at least 1, got {episodes}")
         rng = self.streams.eval_rng(self.eval_count)
         self.eval_count += 1
-        env = make_task(cfg, rng)
-        total = 0.0
-        for _ in range(episodes):
-            obs = env.reset()
-            done = False
-            while not done:
-                a = self.task_agent.act(self.srl.encoder, center_crop(obs, self.crop),
-                                        deterministic=True)
-                obs, r, done = env.step(a)
-                total += r
-        return total / episodes
+        return rollout(make_task(cfg, rng), lambda obs: self.task_agent.act(
+            self.srl.encoder, center_crop(obs, self.crop), deterministic=True), episodes)
 
     # -- checkpointing -----------------------------------------------------------
     def param_groups(self) -> list:
@@ -323,13 +317,17 @@ def train(cfg: ExperimentConfig, out_dir: str | None = None,
           resume: str | None = None, phase_hook=None) -> Trainer:
     """Full protocol: optional pretraining phase, then the main loop in the
     config's ``mode``. ``resume`` takes a main-phase checkpoint of the same
-    config; the run's ``config.txt`` is written only once that is checked."""
+    config whose metrics rows the run directory holds; the run's
+    ``config.txt`` is written only once both are checked, so a refused resume
+    changes no file."""
     trainer = Trainer(cfg, out_dir, phase_hook=phase_hook)
     if resume:
         trainer.load_checkpoint(resume)
         if trainer.phase != "main":
             raise ckpt.CheckpointError(
                 f"can only resume a main-phase checkpoint, found {trainer.phase!r}")
+        if trainer.metrics_rows:
+            check_rows(os.path.join(trainer.out_dir, "metrics.csv"), trainer.metrics_rows)
     save_config(cfg, os.path.join(trainer.out_dir, "config.txt"))
     if not resume:
         trainer.run_pretrain()

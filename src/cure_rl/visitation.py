@@ -3,6 +3,11 @@
 Rolls out three policies (random, task-trained, curiosity-trained) in the
 same task, scores every visited observation with a frozen reference SRL
 model, and reports min/mean/max error per step for each policy as CSV.
+
+Each policy runs through ``envs.rollout``, the loop that evaluation runs. A
+trained policy is the checkpoint's agent acting through ``SacAgent.act``
+on the centre crop with its tanh-mean action, as in evaluation; the random
+policy draws uniform actions from the rollout's env stream.
 """
 
 from __future__ import annotations
@@ -11,11 +16,11 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .config import ExperimentConfig
-from .envs import make_task
+from .envs import make_task, rollout
 from .replay import augmented_views, center_crop
-from .sac import GaussianActor
+from .sac import SacAgent
 from .srl import Encoder, SrlModel
-from .autodiff import ParamGroup, Tensor, no_grad
+from .autodiff import ParamGroup
 
 _VISIT_KEY_BASE = 2000
 
@@ -33,56 +38,43 @@ def build_reference_srl(cfg: ExperimentConfig, checkpoint_path: str) -> SrlModel
     return model
 
 
-class CheckpointPolicy:
-    """Deterministic policy (encoder + tanh-mean actor) from a checkpoint."""
-
-    def __init__(self, cfg: ExperimentConfig, checkpoint_path: str, agent: str,
-                 action_dim: int):
-        if agent not in ("task", "cure"):
-            raise ValueError(f"agent must be task or cure, got {agent!r}")
-        rng = np.random.default_rng(0)
-        self.crop = cfg.crop
-        self.encoder = Encoder(rng, cfg.frames, cfg.crop, cfg.srl.z_dim)
-        self.actor = GaussianActor(rng, cfg, action_dim, f"{agent}.actor")
-        _load_groups(checkpoint_path, [ParamGroup("encoder", self.encoder.params()),
-                                       ParamGroup(f"{agent}.actor", self.actor.params())])
-
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        with no_grad():
-            z = self.encoder(Tensor(center_crop(obs, self.crop)[None]))
-        # same protocol as training-time evaluation: tanh-mean action
-        return self.actor.act(z, deterministic=True)[0]
+def load_agent(cfg: ExperimentConfig, checkpoint_path: str, name: str,
+               action_dim: int) -> tuple[SacAgent, Encoder]:
+    """Agent ``name`` (``task`` or ``cure``) and an encoder, holding the
+    checkpoint's ``encoder`` and ``<name>.actor`` groups: all that
+    ``SacAgent.act`` reads. Acting reads neither the critics nor ``gamma``."""
+    rng = np.random.default_rng(0)
+    encoder = Encoder(rng, cfg.frames, cfg.crop, cfg.srl.z_dim)
+    agent = SacAgent(rng, cfg, action_dim, name, cfg.gamma)
+    actor = next(g for g in agent.groups if g.name == f"{name}.actor")
+    _load_groups(checkpoint_path, [ParamGroup("encoder", encoder.params()), actor])
+    return agent, encoder
 
 
-class RandomPolicy:
-    def __init__(self, action_dim: int):
-        self.action_dim = action_dim
-
-    def act(self, obs, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=self.action_dim)
-
-
-def score_trajectories(cfg: ExperimentConfig, ref_srl: SrlModel, policy,
+def score_trajectories(cfg: ExperimentConfig, ref_srl: SrlModel, act,
                        episodes: int, policy_index: int) -> np.ndarray:
-    """Per-step SRL errors over rollouts of one policy under the frozen model."""
+    """Per-step SRL errors over rollouts of ``act(obs)`` under the frozen
+    model; ``act=None`` is the random policy, drawing from the env's stream."""
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_VISIT_KEY_BASE + policy_index,)))
     env = make_task(cfg, rng)
     crop_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(_VISIT_KEY_BASE + 100 + policy_index,)))
     errors = []
-    for _ in range(episodes):
-        obs = env.reset()
-        done = False
-        while not done:
-            if ref_srl.head == "rae":
-                e = ref_srl.srl_error(center_crop(obs, cfg.crop)[None])
-            else:
-                a, p = augmented_views(obs[None], cfg.crop, crop_rng)
-                # a batch of one has no negatives; score against itself + one shifted copy
-                e = ref_srl.srl_error(np.concatenate([a, p]), np.concatenate([p, a]))[:1]
-            errors.append(float(e[0]))
-            obs, _, done = env.step(policy.act(obs, rng))
+
+    def score(obs):
+        if ref_srl.head == "rae":
+            e = ref_srl.srl_error(center_crop(obs, cfg.crop)[None])
+        else:
+            a, p = augmented_views(obs[None], cfg.crop, crop_rng)
+            # a batch of one has no negatives; score against itself + one shifted copy
+            e = ref_srl.srl_error(np.concatenate([a, p]), np.concatenate([p, a]))[:1]
+        errors.append(float(e[0]))
+
+    if act is None:
+        def act(obs):
+            return rng.uniform(-1.0, 1.0, size=env.spec.action_dim)
+    rollout(env, act, episodes, score)
     return np.asarray(errors)
 
 
@@ -94,14 +86,16 @@ def visitation_experiment(cfg: ExperimentConfig, srl_checkpoint: str,
         raise ValueError(f"episodes must be at least 1, got {episodes}")
     ref = build_reference_srl(cfg, srl_checkpoint)
     action_dim = make_task(cfg, np.random.default_rng(0)).spec.action_dim
-    policies = {
-        "random": RandomPolicy(action_dim),
-        "task": CheckpointPolicy(cfg, task_checkpoint, "task", action_dim),
-        "cure": CheckpointPolicy(cfg, cure_checkpoint, "cure", action_dim),
-    }
+
+    def policy(path, name):
+        agent, encoder = load_agent(cfg, path, name, action_dim)
+        return lambda obs: agent.act(encoder, center_crop(obs, cfg.crop), deterministic=True)
+
+    policies = {"random": None, "task": policy(task_checkpoint, "task"),
+                "cure": policy(cure_checkpoint, "cure")}
     results = {}
-    for i, (name, policy) in enumerate(policies.items()):
-        errs = score_trajectories(cfg, ref, policy, episodes, i)
+    for i, (name, act) in enumerate(policies.items()):
+        errs = score_trajectories(cfg, ref, act, episodes, i)
         results[name] = {"min": float(errs.min()), "mean": float(errs.mean()),
                          "max": float(errs.max())}
     with open(out_csv, "w") as f:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cure_rl.config import ExperimentConfig
-from cure_rl.envs import Canvas, EnvSpec, TASK_NAMES, make_task, wrap_angle
+from cure_rl.envs import Canvas, EnvSpec, TASK_NAMES, make_task, rollout, wrap_angle
 
 ALL_TASKS = list(TASK_NAMES)
 
@@ -188,3 +188,35 @@ def test_reset_observation_is_repeated_first_frame(seed):
     obs = env.reset()
     np.testing.assert_array_equal(obs[0], obs[1])
     np.testing.assert_array_equal(obs[1], obs[2])
+
+
+def test_rollout_visits_each_observation_before_its_action():
+    env = make("cartpole_swingup", seed=3, render_size=20, horizon=40)
+    resets, steps = [], []
+    reset, step = env.reset, env.step
+
+    def recorded_reset():
+        resets.append(reset())
+        return resets[-1]
+
+    def recorded_step(action):
+        steps.append(step(action))
+        return steps[-1]
+
+    env.reset, env.step = recorded_reset, recorded_step
+    act_rng = np.random.default_rng(4)
+    visited = []
+    episodes, n = 3, env.spec.episode_len
+    mean_return = rollout(env, lambda obs: act_rng.uniform(-1.0, 1.0, size=1),
+                          episodes, visited.append)
+    assert len(visited) == len(steps) == episodes * n
+    # each episode starts at its reset observation; the later visits are the
+    # observations its steps returned, all but the final one
+    assert all(visited[e * n] is resets[e] for e in range(episodes))
+    later = [v for i, v in enumerate(visited) if i % n]
+    stepped = [obs for i, (obs, _, _) in enumerate(steps) if (i + 1) % n]
+    assert len(later) == len(stepped) and all(v is o for v, o in zip(later, stepped))
+    total = 0.0
+    for _, r, _ in steps:
+        total += r
+    assert total > 0 and mean_return == total / episodes

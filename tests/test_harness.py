@@ -603,13 +603,22 @@ class TestTrainer:
 
     @pytest.mark.parametrize("name", ["metrics.csv", "metrics.csv.time"])
     def test_resume_with_metrics_rows_missing_raises(self, tmp_path, name):
+        """A resume refused for its metrics rows changes no file, also when
+        the run logged rows past the checkpoint that a resume would cut off."""
         out = str(tmp_path)
         train(tiny_cfg(steps=25), out)
+        saved = os.path.join(out, "resume.ckpt")
+        os.rename(os.path.join(out, "checkpoint.ckpt"), saved)
         path = os.path.join(out, name)
+        kept = len(open(path).readlines()) - 1
+        train(tiny_cfg(steps=50), out, resume=saved)
         lines = open(path).readlines()
-        open(path, "w").writelines(lines[:-1])
+        open(path, "w").writelines(lines[:kept])
+        files = ("config.txt", "metrics.csv", "metrics.csv.time")
+        before = {f: open(os.path.join(out, f), "rb").read() for f in files}
         with pytest.raises(ckpt.CheckpointError, match=name.replace(".", r"\.")):
-            train(tiny_cfg(steps=50), out, resume=os.path.join(out, "checkpoint.ckpt"))
+            train(tiny_cfg(steps=75), out, resume=saved)
+        assert {f: open(os.path.join(out, f), "rb").read() for f in files} == before
 
     def test_cure_only_resume_matches_uninterrupted_run(self, tmp_path):
         full = str(tmp_path / "full")

@@ -7,8 +7,10 @@ import pytest
 
 from cure_rl import checkpoint as ckpt
 from cure_rl.config import ExperimentConfig, set_by_path
-from cure_rl.train import train
-from cure_rl.visitation import CheckpointPolicy, build_reference_srl, visitation_experiment
+from cure_rl.envs import make_task, rollout
+from cure_rl.replay import center_crop
+from cure_rl.train import Trainer, train
+from cure_rl.visitation import build_reference_srl, load_agent, visitation_experiment
 
 
 def tiny_cfg(**kw):
@@ -71,10 +73,31 @@ def test_csv_rows_and_rerun_identical(runs, tmp_path, head):
 
 @pytest.mark.parametrize("agent,run", [("task", "task"), ("cure", "rae")])
 def test_checkpoint_policy_holds_the_checkpoint_arrays(runs, agent, run):
-    policy = CheckpointPolicy(tiny_cfg(), runs[run], agent, action_dim=2)
+    sac, encoder = load_agent(tiny_cfg(), runs[run], agent, action_dim=2)
     assert_holds(runs[run], [
         (name, np.concatenate([p.data.reshape(-1) for p in module.params().values()]))
-        for name, module in (("encoder", policy.encoder), (f"{agent}.actor", policy.actor))])
+        for name, module in (("encoder", encoder), (f"{agent}.actor", sac.actor))])
+
+
+def test_visitation_acts_as_evaluation(tmp_path):
+    """Both agents loaded as visitation loads them choose, on every observation
+    of a rollout, the bit-identical action the trainer's agents choose."""
+    cfg = tiny_cfg()
+    train(cfg, str(tmp_path / "run"))
+    path = str(tmp_path / "run" / "checkpoint.ckpt")
+    trainer = Trainer(cfg, str(tmp_path / "resumed"))
+    trainer.load_checkpoint(path)
+    observations = []
+    rollout(make_task(cfg, np.random.default_rng(0)), lambda obs: trainer.task_agent.act(
+        trainer.srl.encoder, center_crop(obs, cfg.crop), deterministic=True),
+        1, observations.append)
+    for name, agent in (("task", trainer.task_agent), ("cure", trainer.curious_agent)):
+        loaded, encoder = load_agent(cfg, path, name, action_dim=2)
+        for obs in observations:
+            crop = center_crop(obs, cfg.crop)
+            np.testing.assert_array_equal(
+                loaded.act(encoder, crop, deterministic=True),
+                agent.act(trainer.srl.encoder, crop, deterministic=True))
 
 
 @pytest.mark.parametrize("head,groups", [
