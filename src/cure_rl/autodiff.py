@@ -4,7 +4,9 @@ A dynamic tape: every op that touches a tensor requiring gradients records a
 node with a backward closure. ``Tensor.backward()`` walks the tape once in
 reverse topological order and accumulates gradients into leaf tensors.
 ``Adam.minimize`` turns a loss into one parameter step and clears those
-gradients again, so no tensor holds a gradient between steps.
+gradients again, so no tensor holds a gradient between steps. It returns
+whether it stepped: a step with any non-finite gradient changes nothing and
+returns ``False``, and the caller says so.
 
 Storage defaults to float32; float64 inputs are preserved so finite-difference
 oracles can run at full precision.
@@ -485,8 +487,6 @@ def log_softmax_cross_entropy(logits, target_index) -> Tensor:
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ValueError(f"log_softmax_cross_entropy: logits must be 2-d, got {logits.shape}")
-    if not np.all(np.isfinite(logits.data)):
-        raise ValueError("log_softmax_cross_entropy: non-finite logits")
     n, k = logits.shape
     idx = np.asarray(target_index, dtype=np.int64).reshape(-1)
     if idx.shape[0] != n:
@@ -512,14 +512,6 @@ def log_softmax_cross_entropy(logits, target_index) -> Tensor:
 
 
 # -- optimizer -----------------------------------------------------------
-
-class NonFiniteGradientError(RuntimeError):
-    """Raised when an optimizer step encounters a NaN/inf gradient."""
-
-    def __init__(self, name: str):
-        super().__init__(f"non-finite gradient for parameter {name!r}")
-        self.name = name
-
 
 class ParamGroup:
     """Named parameter tensors whose values are views of one flat buffer.
@@ -571,28 +563,24 @@ class Adam:
         self.t = 0
         self.state = {g.name: AdamState(g.data.shape, g.data.dtype) for g in self.groups}
 
-    def minimize(self, loss: Tensor):
-        """One step down ``loss``: backward, then ``step``. Every gradient the
-        backward pass wrote is cleared afterwards, on leaves outside this
-        optimizer too and also when ``step`` raises."""
+    def minimize(self, loss: Tensor) -> bool:
+        """One step down ``loss``: backward, then ``step``, whose result it
+        returns. Every gradient the backward pass wrote is cleared afterwards,
+        on leaves outside this optimizer too."""
         leaves = loss.backward()
-        try:
-            self.step()
-        finally:
-            for p in leaves:
-                p.grad = None
+        stepped = self.step()
+        for p in leaves:
+            p.grad = None
+        return stepped
 
-    def step(self):
-        """Apply one bias-corrected update from each parameter's .grad."""
-        grads = []
-        for group in self.groups:
-            g = np.concatenate([np.zeros(p.size, p.dtype) if p.grad is None else p.grad.reshape(-1)
-                                for p in group.params.values()])
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(next(
-                    n for n, p in group.params.items()
-                    if p.grad is not None and not np.all(np.isfinite(p.grad))))
-            grads.append(g)
+    def step(self) -> bool:
+        """Apply one bias-corrected update from each parameter's .grad and
+        return ``True``. If any gradient is not finite, change nothing (no
+        parameter, moment or step count ``t``) and return ``False``."""
+        grads = [np.concatenate([np.zeros(p.size, p.dtype) if p.grad is None else p.grad.reshape(-1)
+                                 for p in group.params.values()]) for group in self.groups]
+        if not all(np.all(np.isfinite(g)) for g in grads):
+            return False
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
@@ -603,6 +591,7 @@ class Adam:
             m_hat = st.m / c1
             v_hat = st.v / c2
             group.set(group.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        return True
 
     # checkpoint support: the step count and each group's moments
     def export_state(self) -> dict:

@@ -113,7 +113,8 @@ class ExperimentConfig:
                            ("critic.target_freq", self.critic.target_freq),
                            ("eval.interval", self.eval.interval),
                            ("eval.episodes", self.eval.episodes),
-                           ("hidden_dim", self.hidden_dim), ("srl.z_dim", self.srl.z_dim)):
+                           ("hidden_dim", self.hidden_dim), ("srl.z_dim", self.srl.z_dim),
+                           ("frames", self.frames), ("alpha.init", self.alpha.init)):
             if value <= 0:
                 raise ValueError(f"{key} must be positive")
         for key, value in (("critic.tau", self.critic.tau), ("srl.key_tau", self.srl.key_tau)):

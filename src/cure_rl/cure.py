@@ -20,12 +20,7 @@ class ActionSource(Enum):
 
 def intrinsic_reward(errors: np.ndarray, beta: float) -> np.ndarray:
     """r = beta * per-sample SRL error, recomputed fresh at every update."""
-    errors = np.asarray(errors, dtype=np.float32)
-    if np.any(errors < 0):
-        raise ValueError("SRL errors must be nonnegative")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    return beta * errors
+    return beta * np.asarray(errors, dtype=np.float32)
 
 
 def choose_source(mix_rng: np.random.Generator, p_c: float,

@@ -40,9 +40,7 @@ class LossAggregator:
         self.sums = {k: 0.0 for k in COLUMNS[4:]}
         self.counts = {k: 0 for k in COLUMNS[4:]}
 
-    def add(self, column: str, value):
-        if value is None:
-            return
+    def add(self, column: str, value: float):
         self.sums[column] += float(value)
         self.counts[column] += 1
 

@@ -5,7 +5,10 @@ The same agent class is instantiated twice in the full system: once for the
 task reward and once for the intrinsic (representation-error) reward. The
 agent never runs the encoder during its updates: the caller passes latents in.
 Critic updates reach the encoder through the graph of the latent they are
-given; actor and temperature updates take detached latents.
+given; actor and temperature updates take detached latents. Each of the three
+optimizers skips a step whose gradient is not finite (``Adam.step``); the
+agent then logs a warning naming itself and the update, and returns the loss
+as computed.
 
 Every setting comes from the run's ``ExperimentConfig``: ``hidden_dim``,
 ``srl.z_dim`` and the ``critic``, ``actor`` and ``alpha`` sections. Only the
@@ -142,21 +145,16 @@ class SacAgent:
         return y
 
     def update_critic(self, z: Tensor, actions, rewards, dones, z_next: Tensor,
-                      rng: np.random.Generator) -> float | None:
+                      rng: np.random.Generator) -> float:
         """One critic step; gradients reach the encoder through the graph of ``z``,
         and the target bootstraps from the no-grad next-state latent ``z_next``."""
         y = self.compute_target(z_next, rewards, dones, rng)
-        if not np.all(np.isfinite(y)):
-            log.warning("%s: non-finite critic target, update skipped", self.name)
-            return None
         a = Tensor(actions)
         yt = Tensor(y.astype(np.float32))
         loss = ad.reduce_mean(ad.square(self.q1(z, a) - yt)) + \
             ad.reduce_mean(ad.square(self.q2(z, a) - yt))
-        try:
-            self.critic_opt.minimize(loss)
-        except ad.NonFiniteGradientError as e:
-            log.warning("%s: critic update skipped: %s", self.name, e)
+        if not self.critic_opt.minimize(loss):
+            log.warning("%s: critic update skipped: non-finite gradient", self.name)
         return loss.item()
 
     def update_actor_and_alpha(self, z_detached: np.ndarray,
@@ -167,19 +165,15 @@ class SacAgent:
         a, logp = self.actor.sample(z, eps)
         q = ad.minimum(self.q1(z, a), self.q2(z, a))
         actor_loss = ad.reduce_mean(self.alpha * logp - q)
-        try:
-            # the loss reaches the critic too; minimize clears its gradients unused
-            self.actor_opt.minimize(actor_loss)
-        except ad.NonFiniteGradientError as e:
-            log.warning("%s: actor update skipped: %s", self.name, e)
+        # the loss reaches the critic too; minimize clears its gradients unused
+        if not self.actor_opt.minimize(actor_loss):
+            log.warning("%s: actor update skipped: non-finite gradient", self.name)
 
         logp_const = Tensor(logp.data.copy())
         alpha_loss = ad.reduce_mean(
             ad.exp(self.log_alpha) * (-logp_const - self.target_entropy))
-        try:
-            self.alpha_opt.minimize(alpha_loss)
-        except ad.NonFiniteGradientError as e:
-            log.warning("%s: alpha update skipped: %s", self.name, e)
+        if not self.alpha_opt.minimize(alpha_loss):
+            log.warning("%s: alpha update skipped: non-finite gradient", self.name)
         return actor_loss.item(), alpha_loss.item()
 
     def polyak(self):

@@ -147,8 +147,6 @@ class SrlModel:
                 term = ad.reduce_sum(ad.square(p))
                 wd = term if wd is None else wd + term
             loss = loss + wd * self.cfg.lambda_theta
-        if not np.isfinite(loss.item()):
-            raise FloatingPointError("non-finite RAE loss")
         return loss, per_sample.data.copy()
 
     def infonce_loss(self, anchor: np.ndarray, positive: np.ndarray):
@@ -172,12 +170,11 @@ class SrlModel:
             return self.loss(*args)[1]
 
     def update(self, *args) -> np.ndarray:
-        """One gradient step on the active loss; returns PRE-step errors."""
+        """One gradient step on the active loss; returns PRE-step errors. A step
+        with a non-finite gradient is skipped (``Adam.step``) with a warning."""
         loss, errors = self.loss(*args)
-        try:
-            self.opt.minimize(loss)
-        except ad.NonFiniteGradientError as e:
-            log.warning("SRL update skipped: %s", e)
+        if not self.opt.minimize(loss):
+            log.warning("srl: %s update skipped: non-finite gradient", self.head)
         if self.key_encoder:
             self.ema_update_key()
         return errors

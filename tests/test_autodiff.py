@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cure_rl.autodiff as ad
-from cure_rl.autodiff import Adam, NonFiniteGradientError, ParamGroup, Tensor, grad_check, no_grad
+from cure_rl.autodiff import Adam, ParamGroup, Tensor, grad_check, no_grad
 
 
 def t(arr, rg=True):
@@ -291,9 +291,11 @@ class TestAdam:
         p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         opt = Adam([ParamGroup("layer", {"layer.w": p})], lr=1e-3)
         p.grad = np.array([1.0, np.nan], dtype=np.float32)
-        with pytest.raises(NonFiniteGradientError, match="layer.w"):
-            opt.step()
+        assert opt.step() is False
         np.testing.assert_array_equal(p.data, np.zeros(2, dtype=np.float32))
+        assert opt.t == 0 and not opt.state["layer"].m.any() and not opt.state["layer"].v.any()
+        p.grad = np.ones(2, dtype=np.float32)
+        assert opt.step() is True and opt.t == 1
 
     def test_bit_identical_across_runs(self):
         def run():
@@ -339,11 +341,10 @@ class TestAdam:
         p = t([0.5, 1.0])
         w = t([np.nan, 2.0])
         opt = Adam([ParamGroup("p", {"p": p})], lr=1e-3)
-        opt.minimize(ad.reduce_sum(ad.square(p)))
+        assert opt.minimize(ad.reduce_sum(ad.square(p))) is True
         state = opt.state["p"]
         before = (p.data.copy(), state.m.copy(), state.v.copy(), opt.t)
-        with pytest.raises(NonFiniteGradientError, match="'p'"):
-            opt.minimize(ad.reduce_sum(p * w))
+        assert opt.minimize(ad.reduce_sum(p * w)) is False
         for got, want in zip((p.data, state.m, state.v), before):
             np.testing.assert_array_equal(got, want)
         assert opt.t == before[3]

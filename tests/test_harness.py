@@ -160,6 +160,9 @@ class TestConfig:
         ({"crop_size": 24}, "crop size 24 exceeds render_size 20"),
         ({"hidden_dim": 0}, "hidden_dim must be positive"),
         ({"srl.z_dim": 0}, "srl.z_dim must be positive"),
+        ({"frames": 0}, "frames must be positive"),
+        ({"alpha.init": 0}, "alpha.init must be positive"),
+        ({"cure.beta": -1}, "cure.beta must be >= 0"),
         ({"critic.tau": 3}, r"critic.tau must be in \[0,1\]"),
         ({"critic.tau": -0.1}, r"critic.tau must be in \[0,1\]"),
         ({"srl.key_tau": 1.5}, r"srl.key_tau must be in \[0,1\]"),
@@ -169,6 +172,7 @@ class TestConfig:
     ], ids=["actor_freq", "target_freq", "batch_size", "contrastive_batch_1",
             "log_std_one_number", "log_std_min_above_max", "log_std_not_numbers",
             "capacity_below_batch", "crop_above_render", "hidden_dim_0", "z_dim_0",
+            "frames_0", "alpha_init_0", "beta_negative",
             "tau_above_1", "tau_below_0", "key_tau_above_1", "mode_random",
             "cure_mode_without_cure", "cure_mode_with_pretraining"])
     def test_validate_rejects_settings_that_crash_an_update(self, overrides, match):
@@ -476,6 +480,43 @@ class TestTrainer:
             train(tiny_cfg(**{"srl.head": head}), out)
             m.append(open(os.path.join(out, "metrics.csv"), "rb").read())
         assert m[0] == m[1]
+
+    @pytest.mark.parametrize("head", ["rae", "contrastive"])
+    def test_run_survives_a_nonfinite_update_step(self, tmp_path, caplog, head):
+        """One sampled batch with a NaN pixel: every update of that step is
+        skipped with a warning, its SRL loss is logged as nan, and the run goes on."""
+        cfg = tiny_cfg(steps=45, **{"srl.head": head, "eval.interval": 1000})
+        bad_t = cfg.init_steps + 2     # the third sampled batch (an actor step)
+        snaps = {}
+
+        def hook(t, phase):
+            if t == bad_t and phase in ("sample", PHASES[-1]):
+                snaps[phase] = ({g.name: g.data.copy() for g in tr.param_groups()},
+                                {n: opt.t for n, opt in tr._optimizers().items()})
+
+        tr = Trainer(cfg, str(tmp_path), phase_hook=hook)
+        sample, calls = tr.buffer.sample, []
+
+        def poisoned(n, rng):
+            batch = sample(n, rng)
+            calls.append(n)
+            if len(calls) == 3:
+                batch.obs[0, 0, 10, 10] = np.nan   # inside every crop of the 20x20 render
+            return batch
+
+        tr.buffer.sample = poisoned
+        with caplog.at_level("WARNING", logger="cure_rl"), np.errstate(invalid="ignore"):
+            path = tr.run_main()
+        (before, t_before), (after, t_after) = snaps["sample"], snaps[PHASES[-1]]
+        moved = {n for n in before if not np.array_equal(before[n], after[n])}
+        assert moved <= {"task.target", "cure.target", "key_encoder"}
+        assert t_after == t_before
+        rows = [r for r in read_metrics(path) if r["kind"] == "train"]
+        bad_row = next(r for r in rows if r["step"] > bad_t)
+        assert np.isnan(bad_row["srl_loss"]) and rows[-1]["step"] > bad_row["step"]
+        assert not np.isnan(rows[-1]["srl_loss"])
+        srl_msgs = [r.getMessage() for r in caplog.records if r.name == "cure_rl.srl"]
+        assert srl_msgs == [f"srl: {head} update skipped: non-finite gradient"]
 
     # case -> (mode, overrides, encoder forwards per update step on (actor, other) steps)
     FORWARDS = {

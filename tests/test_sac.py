@@ -27,6 +27,23 @@ def make_actor(seed=0):
     return GaussianActor(np.random.default_rng(seed), cfg(), ACT, "a")
 
 
+def snapshot(opt) -> list:
+    """Everything an optimizer step moves: ``t``, group values and moments."""
+    return [np.array(opt.t)] + [g.data.copy() for g in opt.groups] + \
+        [a.copy() for st in opt.state.values() for a in (st.m, st.v)]
+
+
+def assert_unchanged(opt, before):
+    for got, want in zip(snapshot(opt), before, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def skip_warnings(caplog) -> list:
+    msgs = [r.getMessage() for r in caplog.records if r.name == "cure_rl.sac"]
+    assert all("skipped" in m and "critic target" not in m for m in msgs)
+    return msgs
+
+
 class TestActor:
     def test_standard_normal_logprob_oracle(self):
         """mu=0, sigma=1, eps=0 -> log pi = -dim/2 * ln(2 pi); tanh correction 0."""
@@ -142,6 +159,26 @@ class TestCriticAndTargets:
         assert loss is not None and np.isfinite(loss)
         assert not np.array_equal(enc.fc.w.data, w0)
 
+    def test_nonfinite_reward_skips_the_critic_step(self, caplog):
+        rng = np.random.default_rng(0)
+        enc = Encoder(np.random.default_rng(1), 3, CROP, Z)
+        ag = agent(2, encoder=ad.ParamGroup("encoder", enc.params()))
+        obs = Tensor(rng.random((8, 3, CROP, CROP)).astype(np.float32))
+        actions = rng.uniform(-1, 1, (8, ACT)).astype(np.float32)
+        rewards, dones = np.ones(8, dtype=np.float32), np.zeros(8, dtype=np.float32)
+        with ad.no_grad():
+            z_next = enc(obs)
+        ag.update_critic(enc(obs), actions, rewards, dones, z_next, np.random.default_rng(5))
+        before = snapshot(ag.critic_opt)
+        rewards[3] = np.nan
+        with caplog.at_level("WARNING", logger="cure_rl.sac"):
+            loss = ag.update_critic(enc(obs), actions, rewards, dones, z_next,
+                                    np.random.default_rng(6))
+        assert np.isnan(loss)
+        assert_unchanged(ag.critic_opt, before)
+        assert before[0] == 1 and [g.name for g in ag.critic_opt.groups] == ["task.critic", "encoder"]
+        assert skip_warnings(caplog) == ["task: critic update skipped: non-finite gradient"]
+
 
 class TestActorAlpha:
     def test_actor_update_leaves_critic_untouched(self):
@@ -151,6 +188,19 @@ class TestActorAlpha:
         aloss, alloss = ag.update_actor_and_alpha(z, np.random.default_rng(1))
         assert np.isfinite(aloss) and np.isfinite(alloss)
         np.testing.assert_array_equal(ag.q1.l1.w.data, q_before)
+
+    def test_infinite_latent_skips_the_actor_and_alpha_steps(self, caplog):
+        ag = agent(3)
+        z = np.random.default_rng(0).standard_normal((8, Z)).astype(np.float32)
+        ag.update_actor_and_alpha(z, np.random.default_rng(1))
+        before = [snapshot(ag.actor_opt), snapshot(ag.alpha_opt)]
+        z[2, 0] = np.inf
+        with caplog.at_level("WARNING", logger="cure_rl.sac"), np.errstate(invalid="ignore"):
+            ag.update_actor_and_alpha(z, np.random.default_rng(2))
+        assert_unchanged(ag.actor_opt, before[0])
+        assert_unchanged(ag.alpha_opt, before[1])
+        assert skip_warnings(caplog) == ["task: actor update skipped: non-finite gradient",
+                                         "task: alpha update skipped: non-finite gradient"]
 
     def test_alpha_moves_toward_target_entropy(self):
         ag = agent(4)

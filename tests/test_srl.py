@@ -97,13 +97,6 @@ class TestRae:
         after = m.srl_error(obs)
         assert after.mean() < before.mean()
 
-    def test_nonfinite_loss_raises(self):
-        m = model()
-        bad = batch(2)
-        bad[0, 0, 0, 0] = np.nan
-        with pytest.raises(FloatingPointError):
-            m.rae_loss(bad)
-
 
 class TestContrastive:
     def test_zero_bilinear_gives_ln_batch(self):
@@ -160,3 +153,25 @@ class TestSrlErrorApi:
         e2 = m.srl_error(obs)
         np.testing.assert_array_equal(e1, e2)
         assert all(p.grad is None for p in m.opt.params.values())
+
+    @pytest.mark.parametrize("head", ["rae", "contrastive"])
+    def test_nonfinite_batch_skips_the_step(self, head, caplog):
+        m = model(head=head)
+        m.update(*([batch(4)] if head == "rae" else [batch(4), batch(4, seed=1)]))
+        bad = batch(4)
+        bad[0, 0, 0, 0] = np.nan
+        args = [bad] if head == "rae" else [bad, bad.copy()]
+        def state():   # everything a step moves: t, group values, moments
+            return [np.array(m.opt.t)] + [g.data.copy() for g in m.opt.groups] + \
+                [a.copy() for st in m.opt.state.values() for a in (st.m, st.v)]
+
+        before = state()
+        assert np.isnan(m.srl_error(*args)[0])
+        with caplog.at_level("WARNING", logger="cure_rl.srl"):
+            errors = m.update(*args)
+        assert np.isnan(errors[0]) and m.opt.t == 1
+        for got, want in zip(state(), before, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert all(p.grad is None for p in m.opt.params.values())
+        msgs = [r.getMessage() for r in caplog.records if r.name == "cure_rl.srl"]
+        assert len(msgs) == 1 and "skipped" in msgs[0] and "critic target" not in msgs[0]
