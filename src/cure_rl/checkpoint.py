@@ -1,6 +1,6 @@
 """Versioned binary checkpoints.
 
-Layout (format ``VERSION`` 4, little-endian): the 8 magic bytes, the version
+Layout (format ``VERSION`` 5, little-endian): the 8 magic bytes, the version
 (``<I``), the config hash (``<H`` length + UTF-8), the array count (``<I``),
 then one record per array in name order -- name (``<H`` length + UTF-8),
 dtype code and ndim (``<BB``), each dimension (``<I``), the C-order data --
@@ -14,14 +14,19 @@ named by its ``/``-joined key path, and the rest stays nested as metadata.
 component: ``param`` (each parameter group's flat buffer, ``param/<group>``),
 ``opt`` (per optimizer its step count and each group's moments,
 ``opt/<opt>/<group>/m`` and ``.../v``), ``buffer`` (the replay buffer's
-cursor, count and filled rows, ``buffer/<field>``), ``env`` (step counter,
-RNG state, frame stack ``env/stack`` and the task's physical state, whose
+cursor and count; ``buffer/frames``, each frame its live transitions
+reference once, in id order; ``buffer/index``, each filled slot's frame ids
+into it, ``obs`` then ``next_obs``; and the filled rows of
+``buffer/actions``, ``buffer/rewards`` and ``buffer/dones``), ``env`` (step
+counter, RNG state, frame stack ``env/stack`` and the task's physical state, whose
 ndarray values are arrays such as ``env/state/th``), ``rng`` (the trainer's
 RNG streams), ``agg`` (the pending metrics sums and counts, keyed by
 ``metrics.csv`` column) and ``trainer`` (the loop position: phase, step, loop
 ``mode``, episode counters and the rows written to the phase's metrics file).
-Versions 1-3 had other layouts (version 3 kept the environment state as
-JSON lists and its metadata flat); none of them is read.
+Versions 1-4 had other layouts (version 4 stored the buffer's full
+``buffer/obs`` and ``buffer/next_obs`` stacks, version 3 kept the environment
+state as JSON lists and its metadata flat); loading one raises
+``CheckpointError``.
 
 Arrays are streamed: ``save`` writes each one from its own memory and
 ``load`` reads each one straight into a fresh ``np.empty`` array, so neither
@@ -43,7 +48,7 @@ import tempfile
 import numpy as np
 
 MAGIC = b"CURERLCK"
-VERSION = 4
+VERSION = 5
 
 _DTYPES = {0: "<f4", 1: "<f8", 2: "<i8", 3: "|u1"}
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}

@@ -282,7 +282,7 @@ class TestCheckpointFormat:
         blob = bytearray(open(path, "rb").read())
         blob[8:12] = struct.pack("<I", 1)
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(ckpt.CheckpointError, match="version 1, expected 4"):
+        with pytest.raises(ckpt.CheckpointError, match="version 1, expected 5"):
             ckpt.load(path)
 
     def test_version_2_rejected(self, tmp_path):
@@ -291,7 +291,7 @@ class TestCheckpointFormat:
         blob = bytearray(open(path, "rb").read())
         blob[8:12] = struct.pack("<I", 2)
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(ckpt.CheckpointError, match="version 2, expected 4"):
+        with pytest.raises(ckpt.CheckpointError, match="version 2, expected 5"):
             ckpt.load(path)
 
     def test_version_3_rejected(self, tmp_path):
@@ -300,7 +300,16 @@ class TestCheckpointFormat:
         blob = bytearray(open(path, "rb").read())
         blob[8:12] = struct.pack("<I", 3)
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(ckpt.CheckpointError, match="version 3, expected 4"):
+        with pytest.raises(ckpt.CheckpointError, match="version 3, expected 5"):
+            ckpt.load(path)
+
+    def test_version_4_rejected(self, tmp_path):
+        # version 4 stored the replay buffer as full obs and next_obs stacks
+        path = self._save(tmp_path)
+        blob = bytearray(open(path, "rb").read())
+        blob[8:12] = struct.pack("<I", 4)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ckpt.CheckpointError, match="version 4, expected 5"):
             ckpt.load(path)
 
     def test_hash_mismatch_rejected(self, tmp_path):
@@ -385,7 +394,7 @@ class TestCheckpointFormat:
         meta = {"z": [1, 2], "a": "x"}
         path = self._save(tmp_path, {"b": b, "a": a}, meta, h)
         meta_b = b'{"a": "x", "z": [1, 2]}'
-        expected = (b"CURERLCK" + struct.pack("<I", 4)
+        expected = (b"CURERLCK" + struct.pack("<I", 5)
                     + struct.pack("<H", 64) + h.encode()
                     + struct.pack("<I", 2)
                     + struct.pack("<H", 1) + b"a" + struct.pack("<BB", 0, 2)
@@ -581,6 +590,22 @@ class TestTrainer:
         train(tiny_cfg(steps=25, task=task), split)
         train(tiny_cfg(steps=50, task=task), split,
               resume=os.path.join(split, "checkpoint.ckpt"))
+        for name in ("metrics.csv", "checkpoint.ckpt"):
+            assert (open(os.path.join(full, name), "rb").read()
+                    == open(os.path.join(split, name), "rb").read()), name
+
+    @pytest.mark.parametrize("split_at", [12, 25])
+    def test_resume_of_a_wrapped_ring_matches_uninterrupted_run(self, tmp_path, split_at):
+        """The replay ring (16 slots) wraps and 10-step episodes reset before
+        and after the checkpoint; the resumed run writes the same files."""
+        def cfg(steps):
+            return tiny_cfg(steps=steps, **{"replay.capacity": 16})
+
+        full, split = str(tmp_path / "full"), str(tmp_path / "split")
+        done = train(cfg(50), full)
+        assert done.episode == 5 and done.buffer.cursor == 50 % 16
+        train(cfg(split_at), split)
+        train(cfg(50), split, resume=os.path.join(split, "checkpoint.ckpt"))
         for name in ("metrics.csv", "checkpoint.ckpt"):
             assert (open(os.path.join(full, name), "rb").read()
                     == open(os.path.join(split, name), "rb").read()), name
@@ -878,7 +903,7 @@ class TestCompareRuns:
         assert out.returncode == 1, out.stdout + out.stderr
         assert "metrics.csv: identical" in out.stdout
         assert "checkpoint.ckpt: cannot compare:" in out.stdout
-        assert "format version 1, expected 4" in out.stdout
+        assert "format version 1, expected 5" in out.stdout
 
 
 def quick_start_commands() -> list:
