@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the desk-scale experiment battery behind tests/test_acceptance.py.
 
-Artifacts land in results/ and are skipped when already complete, so the
-script can be re-run after an interruption. Expect a few hours on one core.
+Each job is one ``train`` call into its own directory under results/. Re-run
+after an interruption, the script skips complete runs and resumes the others
+from their checkpoints. Expect a few hours on one core.
 """
 
 import argparse
@@ -12,7 +13,8 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from cure_rl.config import load_config, set_by_path
+from cure_rl import checkpoint as ckpt
+from cure_rl.config import config_hash, load_config, set_by_path
 from cure_rl.train import train
 from cure_rl.visitation import visitation_experiment
 
@@ -29,17 +31,24 @@ def desk_cfg(name: str, **overrides):
     return cfg
 
 
-def done(out_dir: str) -> bool:
-    return os.path.exists(os.path.join(out_dir, "checkpoint.ckpt"))
+def done(cfg) -> bool:
+    """Whether the run's checkpoint holds the last step of its main phase."""
+    path = os.path.join(cfg.out, "checkpoint.ckpt")
+    if not os.path.exists(path):
+        return False
+    trainer = ckpt.load(path, expected_hash=config_hash(cfg))[1]["trainer"]
+    return trainer["phase"] == "main" and trainer["phase_t"] == cfg.steps
 
 
-def run(tag: str, fn, out_dir: str):
-    if done(out_dir):
-        print(f"[skip] {tag}: {out_dir} already complete", flush=True)
+def run(tag: str, cfg):
+    if done(cfg):
+        print(f"[skip] {tag}: {cfg.out} already complete", flush=True)
         return
+    path = os.path.join(cfg.out, "checkpoint.ckpt")
+    resume = path if os.path.exists(path) else None
     t0 = time.monotonic()
-    print(f"[run ] {tag} -> {out_dir}", flush=True)
-    fn()
+    print(f"[{'resume' if resume else 'run'}] {tag} -> {cfg.out}", flush=True)
+    train(cfg, resume=resume)
     print(f"[done] {tag} in {(time.monotonic() - t0) / 60:.1f} min", flush=True)
 
 
@@ -50,18 +59,18 @@ def reacher_hard_battery(sub: str, seeds, **overrides):
             out = os.path.join(RESULTS, sub, f"{arm}_s{seed}")
             cfg = desk_cfg("desk_reacher_hard.txt", **{
                 "seed": seed, "cure.enabled": enabled, "out": out, **overrides})
-            run(f"{sub}/{arm}_s{seed}", lambda c=cfg, o=out: train(c, o), out)
+            run(f"{sub}/{arm}_s{seed}", cfg)
 
 
 def visitation_battery(episodes: int):
     cure_out = os.path.join(RESULTS, "visitation", "cure_only")
     cfg = desk_cfg("desk_point_reacher.txt", **{"seed": 0, "mode": "cure", "out": cure_out})
-    run("visitation/cure_only", lambda: train(cfg, cure_out), cure_out)
+    run("visitation/cure_only", cfg)
 
     task_out = os.path.join(RESULTS, "visitation", "task_base")
     tcfg = desk_cfg("desk_point_reacher.txt",
                     **{"seed": 0, "cure.enabled": False, "out": task_out})
-    run("visitation/task_base", lambda: train(tcfg, task_out), task_out)
+    run("visitation/task_base", tcfg)
 
     csv = os.path.join(RESULTS, "visitation", "visitation.csv")
     if os.path.exists(csv):
@@ -82,7 +91,7 @@ def pretrain_battery():
         cfg = desk_cfg("desk_reacher_hard.txt", **{
             "seed": 0, "pretrain.mode": mode, "pretrain.steps": 10000,
             "out": out})
-        run(f"pretrain/{mode}", lambda c=cfg, o=out: train(c, o), out)
+        run(f"pretrain/{mode}", cfg)
 
 
 def main(argv=None):

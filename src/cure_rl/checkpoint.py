@@ -21,8 +21,9 @@ into it, ``obs`` then ``next_obs``; and the filled rows of
 counter, RNG state, frame stack ``env/stack`` and the task's physical state, whose
 ndarray values are arrays such as ``env/state/th``), ``rng`` (the trainer's
 RNG streams), ``agg`` (the pending metrics sums and counts, keyed by
-``metrics.csv`` column) and ``trainer`` (the loop position: phase, step, loop
-``mode``, episode counters and the rows written to the phase's metrics file).
+``metrics.csv`` column) and ``trainer`` (the loop position: phase, step,
+episode counters, evaluations run and the rows written to the phase's
+metrics file).
 Versions 1-4 had other layouts (version 4 stored the buffer's full
 ``buffer/obs`` and ``buffer/next_obs`` stacks, version 3 kept the environment
 state as JSON lists and its metadata flat); loading one raises

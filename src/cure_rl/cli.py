@@ -1,4 +1,6 @@
-"""Command-line entry points: train / pretrain / visitation / plot / gradcheck."""
+"""Command-line entry points: train / visitation / plot / gradcheck. ``train
+--resume`` continues a run from its checkpoint in either phase; ``--steps 0``
+stops a run after pretraining."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import logging
 import os
 import sys
 
-from .config import ExperimentConfig, load_config, save_config, set_by_path
+from .config import ExperimentConfig, load_config, set_by_path
 from .diagnostics import run_gradient_suite
 from .metrics import COLUMNS
 from .plotting import plot_reward_curves
@@ -53,10 +55,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run the full training protocol")
     _add_config_flags(p_train)
     p_train.add_argument("--resume", metavar="CKPT",
-                         help="resume from a main-phase checkpoint of the same config")
-
-    p_pre = sub.add_parser("pretrain", help="run only the pretraining phase")
-    _add_config_flags(p_pre)
+                         help="continue a run of the same config from its checkpoint")
 
     p_vis = sub.add_parser("visitation",
                            help="score visited states of three policies under a "
@@ -93,20 +92,6 @@ def main(argv=None) -> int:
         out_dir = cfg.out or "runs/latest"
         train(cfg, out_dir, resume=args.resume)
         print(f"run complete: {out_dir}")
-        return 0
-
-    if args.command == "pretrain":
-        cfg = build_config(args)
-        if cfg.pretrain.mode == "none":
-            raise SystemExit("pretrain.mode is 'none'; set --set pretrain.mode=random|cure")
-        out_dir = cfg.out or "runs/latest"
-        os.makedirs(out_dir, exist_ok=True)
-        save_config(cfg, os.path.join(out_dir, "config.txt"))
-        from .train import Trainer
-        trainer = Trainer(cfg, out_dir)
-        trainer.run_pretrain()
-        trainer.save_checkpoint(os.path.join(out_dir, "pretrain.ckpt"))
-        print(f"pretraining complete: {out_dir}")
         return 0
 
     if args.command == "visitation":

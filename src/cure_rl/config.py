@@ -114,9 +114,16 @@ class ExperimentConfig:
                            ("eval.interval", self.eval.interval),
                            ("eval.episodes", self.eval.episodes),
                            ("hidden_dim", self.hidden_dim), ("srl.z_dim", self.srl.z_dim),
-                           ("frames", self.frames), ("alpha.init", self.alpha.init)):
+                           ("frames", self.frames), ("alpha.init", self.alpha.init),
+                           ("horizon", self.horizon)):
             if value <= 0:
                 raise ValueError(f"{key} must be positive")
+        for key, value in (("steps", self.steps), ("init_steps", self.init_steps)):
+            if value < 0:
+                raise ValueError(f"{key} must be non-negative, got {value}")
+        if self.pretrain.mode != "none" and self.pretrain.steps < 1:
+            raise ValueError(f"pretrain.steps must be positive with pretrain.mode="
+                             f"{self.pretrain.mode}, got {self.pretrain.steps}")
         for key, value in (("critic.tau", self.critic.tau), ("srl.key_tau", self.srl.key_tau)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{key} must be in [0,1], got {value}")

@@ -62,6 +62,7 @@ _UPDATED = {"random": (), "cure": ("curious",), "mixed": ("task", "curious")}
 # the loop position a checkpoint's ``trainer`` entry holds; ``metrics_rows``
 # counts the rows written to the phase's metrics file
 _RESUMED = ("phase", "phase_t", "episode", "episode_reward", "eval_count", "metrics_rows")
+METRICS_FILE = {"pretrain": "pretrain_metrics.csv", "main": "metrics.csv"}
 
 
 class RngStreams:
@@ -115,7 +116,7 @@ class Trainer:
 
         self.buffer = ReplayBuffer(cfg.replay.capacity)
         self.agg = LossAggregator()
-        self.phase = "main"
+        self.phase = None   # set when a phase starts, or by a checkpoint
         self.phase_t = 0
         self.episode = 0
         self.episode_reward = 0.0
@@ -226,18 +227,16 @@ class Trainer:
             hook(t, f"{role}_ac")
 
     # -- phases ----------------------------------------------------------------
-    def _run(self, phase: str, mode: str, n_steps: int, filename: str,
-             resume: bool = False) -> str:
+    def _run(self, phase: str, mode: str, n_steps: int, resume: bool = False) -> str:
         """The loop every phase runs: steps ``phase_t`` (when resuming, else 0)
-        to ``n_steps`` in ``mode``, logging to ``filename`` in the run directory."""
-        self.phase = phase
+        to ``n_steps`` in ``mode``, logging to the phase's metrics file and saving
+        ``checkpoint.ckpt`` every ``eval.interval`` steps and after the last."""
         if not resume:
-            self.phase_t = self.metrics_rows = 0
-        if self.phase_t == 0:
+            self.phase, self.phase_t, self.metrics_rows = phase, 0, 0
             self.obs = self.env.reset()
             self.episode = 0
             self.episode_reward = 0.0
-        path = os.path.join(self.out_dir, filename)
+        path = os.path.join(self.out_dir, METRICS_FILE[phase])
         with MetricsWriter(path, self.metrics_rows) as writer:
             for t in range(self.phase_t, n_steps):
                 try:
@@ -245,20 +244,20 @@ class Trainer:
                 except Exception as e:
                     raise RuntimeError(f"training aborted at {phase} step {t}: {e}") from e
                 self.phase_t, self.metrics_rows = t + 1, writer.rows
+                if self.phase_t % self.cfg.eval.interval == 0 and self.phase_t < n_steps:
+                    self.save_checkpoint()
+        self.save_checkpoint()
         return path
 
-    def run_pretrain(self) -> None:
+    def run_pretrain(self, *, resume: bool = False) -> None:
         cfg = self.cfg
-        if cfg.pretrain.mode == "none":
-            return
-        self._run("pretrain", cfg.pretrain.mode, cfg.pretrain.steps, "pretrain_metrics.csv")
-        # main phase starts from the pretrained encoder/SRL with a fresh buffer,
-        # at step 0: a checkpoint saved here resumes into train()
-        self.buffer = ReplayBuffer(cfg.replay.capacity)
-        self.phase, self.phase_t, self.metrics_rows = "main", 0, 0
+        if cfg.pretrain.mode != "none":
+            self._run("pretrain", cfg.pretrain.mode, cfg.pretrain.steps, resume)
+            # the main phase starts from the pretrained encoder/SRL with a fresh buffer
+            self.buffer = ReplayBuffer(cfg.replay.capacity)
 
     def run_main(self, *, resume: bool = False) -> str:
-        return self._run("main", self.cfg.mode, self.cfg.steps, "metrics.csv", resume)
+        return self._run("main", self.cfg.mode, self.cfg.steps, resume)
 
     # -- evaluation: isolated env and RNG, deterministic task policy -------------
     def evaluate(self, episodes: int | None = None) -> float:
@@ -316,21 +315,18 @@ class Trainer:
 def train(cfg: ExperimentConfig, out_dir: str | None = None,
           resume: str | None = None, phase_hook=None) -> Trainer:
     """Full protocol: optional pretraining phase, then the main loop in the
-    config's ``mode``. ``resume`` takes a main-phase checkpoint of the same
-    config whose metrics rows the run directory holds; the run's
+    config's ``mode``. ``resume`` takes a checkpoint of the same config from
+    either phase, whose metrics rows the run directory holds; the run's
     ``config.txt`` is written only once both are checked, so a refused resume
     changes no file."""
     trainer = Trainer(cfg, out_dir, phase_hook=phase_hook)
     if resume:
         trainer.load_checkpoint(resume)
-        if trainer.phase != "main":
-            raise ckpt.CheckpointError(
-                f"can only resume a main-phase checkpoint, found {trainer.phase!r}")
         if trainer.metrics_rows:
-            check_rows(os.path.join(trainer.out_dir, "metrics.csv"), trainer.metrics_rows)
+            check_rows(os.path.join(trainer.out_dir, METRICS_FILE[trainer.phase]),
+                       trainer.metrics_rows)
     save_config(cfg, os.path.join(trainer.out_dir, "config.txt"))
-    if not resume:
-        trainer.run_pretrain()
-    trainer.run_main(resume=bool(resume))
-    trainer.save_checkpoint()
+    if trainer.phase != "main":
+        trainer.run_pretrain(resume=bool(resume))
+    trainer.run_main(resume=trainer.phase == "main")
     return trainer

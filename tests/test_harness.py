@@ -1,6 +1,7 @@
 """Experiment harness: config, metrics, checkpoints, plotting, CLI, trainer."""
 
 import glob
+import importlib.util
 import itertools
 import os
 import shlex
@@ -169,18 +170,34 @@ class TestConfig:
         ({"mode": "random"}, r"mode must be mixed\|cure, got .random."),
         ({"mode": "cure", "cure.enabled": False}, "^mode=cure requires cure.enabled"),
         ({"mode": "cure", "pretrain.mode": "random"}, "mode=cure runs no pretraining"),
+        ({"steps": -5}, "^steps must be non-negative, got -5"),
+        ({"init_steps": -1}, "^init_steps must be non-negative, got -1"),
+        ({"horizon": 0}, "^horizon must be positive"),
+        ({"pretrain.mode": "random", "pretrain.steps": -4},
+         "^pretrain.steps must be positive with pretrain.mode=random, got -4"),
+        ({"pretrain.mode": "cure", "pretrain.steps": 0}, "^pretrain.steps must be positive"),
     ], ids=["actor_freq", "target_freq", "batch_size", "contrastive_batch_1",
             "log_std_one_number", "log_std_min_above_max", "log_std_not_numbers",
             "capacity_below_batch", "crop_above_render", "hidden_dim_0", "z_dim_0",
             "frames_0", "alpha_init_0", "beta_negative",
             "tau_above_1", "tau_below_0", "key_tau_above_1", "mode_random",
-            "cure_mode_without_cure", "cure_mode_with_pretraining"])
+            "cure_mode_without_cure", "cure_mode_with_pretraining", "steps_negative",
+            "init_steps_negative", "horizon_0", "pretrain_steps_negative",
+            "pretrain_steps_0"])
     def test_validate_rejects_settings_that_crash_an_update(self, overrides, match):
         cfg = tiny_cfg()
         for key, value in overrides.items():
             set_by_path(cfg, key, value)
         with pytest.raises(ValueError, match=match):
             cfg.validate()
+
+    def test_validate_accepts_run_lengths_at_their_bounds(self):
+        """A run of no main steps, one of seeding steps only, and an unused
+        ``pretrain.steps`` of 0 are valid (``tiny_cfg`` validates)."""
+        tiny_cfg(steps=0)
+        tiny_cfg(steps=0, **{"pretrain.mode": "random", "pretrain.steps": 1})
+        tiny_cfg(steps=200, init_steps=200, **{"replay.capacity": 200})
+        tiny_cfg(init_steps=0, **{"pretrain.steps": 0})
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["cure.beta", "critic.tau", "srl.lr", "actor.log_std"])
@@ -565,7 +582,7 @@ class TestTrainer:
             return forward(enc, obs, detach)
 
         monkeypatch.setattr(Encoder, "__call__", counted)
-        tr._run("main", mode, cfg.steps, "metrics.csv")
+        tr._run("main", mode, cfg.steps)
         steps = range(cfg.init_steps, cfg.steps)
         assert {t: after_step[t] - after_step[t - 1] for t in steps} == \
             {t: actor if t % cfg.actor.freq == 0 else other for t in steps}
@@ -578,7 +595,7 @@ class TestTrainer:
         marks = {}
         tr = Trainer(cfg, str(tmp_path),
                      phase_hook=lambda t, phase: marks.setdefault(t, []).append(phase))
-        tr._run("main", mode, cfg.steps, "metrics.csv")
+        tr._run("main", mode, cfg.steps)
         assert {t: tuple(marks[t]) for t in range(cfg.init_steps, cfg.steps)} == \
             dict.fromkeys(range(cfg.init_steps, cfg.steps), PHASES)
 
@@ -632,13 +649,8 @@ class TestTrainer:
 
         full, base = str(tmp_path / "full"), str(tmp_path / "base")
         train(cfg(), full)
-        if start == "pretrain":
-            tr = Trainer(cfg(), base)
-            tr.run_pretrain()
-            tr.save_checkpoint(os.path.join(base, "resume.ckpt"))
-        else:
-            train(cfg(30), base)
-            os.rename(os.path.join(base, "checkpoint.ckpt"), os.path.join(base, "resume.ckpt"))
+        train(cfg(0 if start == "pretrain" else 30), base)
+        os.rename(os.path.join(base, "checkpoint.ckpt"), os.path.join(base, "resume.ckpt"))
 
         # no shrinking, so a failing (strict-xfail) case stops at its first example
         @settings(max_examples=2, deadline=None, database=None, phases=[Phase.generate])
@@ -772,13 +784,31 @@ class TestTrainer:
         tr2.load_checkpoint(path)
         assert_views(tr2)
 
-    def test_resume_from_pretrain_checkpoint_rejected(self, tmp_path):
-        cfg = tiny_cfg(**{"pretrain.mode": "random", "pretrain.steps": 15})
-        tr = Trainer(cfg, str(tmp_path))
-        tr.phase = "pretrain"
-        path = tr.save_checkpoint(os.path.join(str(tmp_path), "pre.ckpt"))
-        with pytest.raises(ckpt.CheckpointError, match="main"):
-            train(cfg, str(tmp_path), resume=path)
+    @pytest.mark.parametrize("phase,kill", [("pretrain", 47), ("main", 45)])
+    def test_killed_run_resumes_from_its_own_checkpoint(self, tmp_path, phase, kill):
+        """A run saves ``checkpoint.ckpt`` every ``eval.interval`` (20) steps of
+        each phase; killed in either phase, it resumes from the last one to the
+        bytes of an uninterrupted run."""
+        cfg = tiny_cfg(steps=60, **{"pretrain.mode": "random", "pretrain.steps": 60})
+        full, split = str(tmp_path / "full"), str(tmp_path / "split")
+        train(cfg, full)
+        seen = []
+
+        def die(t, step_phase):
+            if t == kill and step_phase == "select":
+                seen.append(t)   # the main phase reaches step ``kill`` second
+                if len(seen) == ("pretrain", "main").index(phase) + 1:
+                    raise RuntimeError("killed")
+
+        with pytest.raises(RuntimeError, match=f"{phase} step {kill}"):
+            train(cfg, split, phase_hook=die)
+        path = os.path.join(split, "checkpoint.ckpt")
+        saved = ckpt.load(path)[1]["trainer"]
+        assert (saved["phase"], saved["phase_t"]) == (phase, 40)
+        train(cfg, split, resume=path)
+        for name in ("pretrain_metrics.csv", "metrics.csv", "checkpoint.ckpt"):
+            assert (open(os.path.join(full, name), "rb").read()
+                    == open(os.path.join(split, name), "rb").read()), name
 
     @pytest.mark.parametrize("saved_in_cure", [False, True])
     def test_resume_in_another_mode_rejected(self, tmp_path, saved_in_cure):
@@ -790,18 +820,23 @@ class TestTrainer:
             train(tiny_cfg(steps=30, mode=other), out,
                   resume=os.path.join(out, "checkpoint.ckpt"))
 
-    @pytest.mark.parametrize("pretrain", ["random", "cure"])
+    @pytest.mark.parametrize("pretrain", ["none", "random", "cure"])
     def test_resume_from_pretraining_matches_uninterrupted_run(self, tmp_path, pretrain):
-        """The checkpoint ``cure-rl pretrain`` writes resumes into the main phase."""
-        def cfg():
-            return tiny_cfg(steps=30, **{"pretrain.mode": pretrain, "pretrain.steps": 15})
+        """A ``steps=0`` run (``cure-rl train --steps 0``) pretrains, if its
+        config says so, and saves a checkpoint at step 0 of the main phase;
+        resumed with more steps, it writes the files of an uninterrupted run."""
+        def cfg(steps):
+            return tiny_cfg(steps=steps, **{"pretrain.mode": pretrain, "pretrain.steps": 15})
 
         full, split = str(tmp_path / "full"), str(tmp_path / "split")
-        train(cfg(), full)
-        tr = Trainer(cfg(), split)
-        tr.run_pretrain()
-        train(cfg(), split, resume=tr.save_checkpoint(os.path.join(split, "pretrain.ckpt")))
-        for name in ("metrics.csv", "pretrain_metrics.csv", "checkpoint.ckpt"):
+        train(cfg(30), full)
+        train(cfg(0), split)
+        path = os.path.join(split, "checkpoint.ckpt")
+        saved = ckpt.load(path)[1]["trainer"]
+        assert (saved["phase"], saved["phase_t"]) == ("main", 0)
+        train(cfg(30), split, resume=path)
+        logs = ["pretrain_metrics.csv"] if pretrain != "none" else []
+        for name in ["metrics.csv", "checkpoint.ckpt", *logs]:
             assert (open(os.path.join(full, name), "rb").read()
                     == open(os.path.join(split, name), "rb").read()), name
 
@@ -906,6 +941,58 @@ class TestCompareRuns:
         assert "format version 1, expected 5" in out.stdout
 
 
+def load_script(name: str) -> types.ModuleType:
+    spec = importlib.util.spec_from_file_location(name, os.path.join(REPO, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunExperiments:
+    def test_killed_job_resumes_on_rerun(self, tmp_path, monkeypatch):
+        """A job killed after a periodic checkpoint is not done; run again, it
+        resumes from that checkpoint to the files of an uninterrupted run."""
+        battery = load_script("run_experiments")
+
+        def cfg(name):
+            return tiny_cfg(steps=60, out=str(tmp_path / name),
+                            **{"pretrain.mode": "random", "pretrain.steps": 30})
+
+        full, job = cfg("full"), cfg("job")
+        battery.run("full", full)
+        assert battery.done(full)
+
+        calls = []
+
+        def spy(c, resume=None, kill=None):
+            steps = []
+            calls.append((resume, steps))
+
+            def hook(t, phase):
+                steps.append(t)
+                if t == kill:   # pretraining runs 30 steps, so this is a main step
+                    raise RuntimeError("killed")
+            return train(c, resume=resume, phase_hook=hook)
+
+        monkeypatch.setattr(battery, "train", lambda c, resume=None: spy(c, resume, kill=45))
+        with pytest.raises(RuntimeError, match="main step 45"):
+            battery.run("job", job)
+        assert os.path.exists(os.path.join(job.out, "checkpoint.ckpt"))
+        assert not battery.done(job)
+
+        monkeypatch.setattr(battery, "train", spy)
+        battery.run("job", job)
+        resume, steps = calls[-1]
+        assert resume == os.path.join(job.out, "checkpoint.ckpt") and steps[0] == 40
+        assert battery.done(job)
+        for name in ("pretrain_metrics.csv", "metrics.csv", "checkpoint.ckpt"):
+            assert (open(os.path.join(full.out, name), "rb").read()
+                    == open(os.path.join(job.out, name), "rb").read()), name
+
+        battery.run("job", job)
+        assert len(calls) == 2   # a complete job is skipped
+
+
 def quick_start_commands() -> list:
     """The ``cure-rl`` commands of README's Quick start, as argument lists."""
     readme = open(os.path.join(REPO, "README.md")).read()
@@ -953,7 +1040,7 @@ class TestCli:
     def test_readme_quick_start_command_parses(self, monkeypatch, argv):
         monkeypatch.chdir(REPO)
         args = make_parser().parse_args(argv)
-        if args.command in ("train", "pretrain", "visitation"):
+        if args.command in ("train", "visitation"):
             build_config(args)
 
     def test_train_subcommand_with_overrides(self, tmp_path):
