@@ -233,6 +233,7 @@ class Trainer:
         ``checkpoint.ckpt`` every ``eval.interval`` steps and after the last."""
         if not resume:
             self.phase, self.phase_t, self.metrics_rows = phase, 0, 0
+            self.agg = LossAggregator()   # no losses pending from an earlier phase
             self.obs = self.env.reset()
             self.episode = 0
             self.episode_reward = 0.0

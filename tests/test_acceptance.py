@@ -1,8 +1,10 @@
 """Acceptance criteria for the full framework.
 
 Criteria 1-4, 9 and 10 run from scratch in seconds to minutes. Criteria 5-8
-compare desk-scale experiment artifacts produced by scripts/run_experiments.py
-into results/; they skip with instructions when the artifacts are absent.
+judge the desk-scale battery that scripts/run_experiments.py writes into
+results/; they read it through ``cure_rl.battery``, which defines its runs and
+layout, and skip when its files are absent, naming them and the command that
+writes them.
 """
 
 import os
@@ -12,7 +14,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cure_rl import checkpoint as ckpt
+from cure_rl import battery, checkpoint as ckpt
 from cure_rl.config import ExperimentConfig, SrlConfig, set_by_path
 from cure_rl.diagnostics import gradient_suite
 from cure_rl.metrics import read_metrics
@@ -20,8 +22,6 @@ from cure_rl.plotting import plot_reward_curves
 from cure_rl.replay import ReplayBuffer
 from cure_rl.srl import SrlModel
 from cure_rl.train import PHASES, Trainer, train
-
-RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
 def small_cfg(**kw):
@@ -44,23 +44,13 @@ def small_cfg(**kw):
     return cfg
 
 
-def final_eval_reward(run_dir: str) -> float:
-    """Endpoint performance: mean of the last three evaluation rows.
-
-    A single eval row is dominated by SAC policy oscillation between desk-scale
-    eval intervals; averaging the final three rows measures where the policy
-    ends up without changing the training budget.
-    """
-    rows = [r for r in read_metrics(os.path.join(run_dir, "metrics.csv"))
-            if r["kind"] == "eval"]
-    return float(np.mean([r["reward"] for r in rows[-3:]]))
-
-
-def need_artifacts(*paths):
-    missing = [p for p in paths if not os.path.exists(p)]
+def need_artifacts(criterion: int):
+    missing = [p for p in battery.criterion_files(criterion)
+               if not os.path.exists(os.path.join(battery.RESULTS, p))]
     if missing:
-        pytest.skip("missing experiment artifacts (run scripts/run_experiments.py): "
-                    + ", ".join(os.path.relpath(p, RESULTS) for p in missing))
+        pytest.skip(f"missing experiment artifacts under results/: {', '.join(missing)}; "
+                    "write them with python scripts/run_experiments.py --only "
+                    f"{battery.CRITERIA[criterion]}")
 
 
 def test_criterion_1_gradient_suite():
@@ -126,47 +116,30 @@ def test_criterion_4_mixing_frequency(tmp_path):
 
 
 def test_criterion_5_visitation():
-    csv = os.path.join(RESULTS, "visitation", "visitation.csv")
-    need_artifacts(csv)
-    lines = open(csv).read().strip().splitlines()
-    assert lines[0] == "policy,min,mean,max"
-    rows = {}
-    for line in lines[1:]:
-        name, lo, mean, hi = line.split(",")
-        lo, mean, hi = float(lo), float(mean), float(hi)
-        assert lo <= mean <= hi, line
-        rows[name] = mean
-    assert set(rows) == {"random", "task", "cure"}
-    assert rows["cure"] >= 3.0 * rows["random"], rows
-    assert rows["cure"] >= 3.0 * rows["task"], rows
-
-
-def _arm_final_rewards(sub: str, seeds=(0, 1, 2)):
-    dirs = {arm: [os.path.join(RESULTS, sub, f"{arm}_s{s}") for s in seeds]
-            for arm in ("base", "cure")}
-    need_artifacts(*[os.path.join(d, "metrics.csv")
-                     for ds in dirs.values() for d in ds])
-    return {arm: np.array([final_eval_reward(d) for d in ds])
-            for arm, ds in dirs.items()}
+    need_artifacts(5)
+    means = battery.visitation_means(battery.RESULTS)
+    assert set(means) == {"random", "task", "cure"}
+    assert means["cure"] >= 3.0 * means["random"], means
+    assert means["cure"] >= 3.0 * means["task"], means
 
 
 def test_criterion_6_task_improvement():
-    rewards = _arm_final_rewards("reacher_hard")
+    need_artifacts(6)
+    rewards = battery.arm_rewards(battery.RESULTS, "reacher_hard")
     assert rewards["cure"].mean() > rewards["base"].mean(), rewards
     assert rewards["cure"].std() <= rewards["base"].std(), rewards
 
 
 def test_criterion_7_head_agnosticism():
-    rewards = _arm_final_rewards("reacher_hard_contrastive")
+    need_artifacts(7)
+    rewards = battery.arm_rewards(battery.RESULTS, "reacher_hard_contrastive")
     assert rewards["cure"].mean() >= rewards["base"].mean(), rewards
 
 
 def test_criterion_8_pretraining():
-    dirs = {m: os.path.join(RESULTS, "pretrain", m) for m in ("cure", "random")}
-    need_artifacts(*[os.path.join(d, "metrics.csv") for d in dirs.values()])
-    cure, random = (final_eval_reward(dirs["cure"]),
-                    final_eval_reward(dirs["random"]))
-    assert cure >= random, (cure, random)
+    need_artifacts(8)
+    rewards = battery.pretrain_rewards(battery.RESULTS)
+    assert rewards["cure"] >= rewards["random"], rewards
 
 
 def test_criterion_9_baseline_equivalence(tmp_path):

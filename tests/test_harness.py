@@ -1,7 +1,6 @@
 """Experiment harness: config, metrics, checkpoints, plotting, CLI, trainer."""
 
 import glob
-import importlib.util
 import itertools
 import os
 import shlex
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from cure_rl import checkpoint as ckpt
+from cure_rl import battery, checkpoint as ckpt
 from cure_rl.cli import build_config, make_parser
 from cure_rl.cli import main as cli_main
 from cure_rl.config import (ExperimentConfig, config_hash, flatten, load_config,
@@ -832,8 +831,10 @@ class TestTrainer:
         train(cfg(30), full)
         train(cfg(0), split)
         path = os.path.join(split, "checkpoint.ckpt")
-        saved = ckpt.load(path)[1]["trainer"]
-        assert (saved["phase"], saved["phase_t"]) == ("main", 0)
+        meta = ckpt.load(path)[1]
+        assert (meta["trainer"]["phase"], meta["trainer"]["phase_t"]) == ("main", 0)
+        # the main phase starts with no pretraining losses pending
+        assert not any(meta["agg"]["counts"].values()), meta["agg"]["counts"]
         train(cfg(30), split, resume=path)
         logs = ["pretrain_metrics.csv"] if pretrain != "none" else []
         for name in ["metrics.csv", "checkpoint.ckpt", *logs]:
@@ -890,8 +891,8 @@ class TestCompareRuns:
         other = self.run_tool(dirs["a"], dirs["c"])
         assert other.returncode == 1, other.stdout + other.stderr
         assert "metrics.csv: differs" in other.stdout
-        assert "first differing row 1:" in other.stdout
-        assert "srl_loss: 3 rows differ, largest relative difference" in other.stdout
+        assert "first differing row 2:" in other.stdout   # row 1 has no update yet
+        assert "srl_loss: 2 rows differ, largest relative difference" in other.stdout
         assert "arrays, 0 differ;" not in other.stdout
 
     def test_visitation_csv_compared(self, tmp_path):
@@ -941,19 +942,10 @@ class TestCompareRuns:
         assert "format version 1, expected 5" in out.stdout
 
 
-def load_script(name: str) -> types.ModuleType:
-    spec = importlib.util.spec_from_file_location(name, os.path.join(REPO, "scripts", f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestRunExperiments:
     def test_killed_job_resumes_on_rerun(self, tmp_path, monkeypatch):
         """A job killed after a periodic checkpoint is not done; run again, it
         resumes from that checkpoint to the files of an uninterrupted run."""
-        battery = load_script("run_experiments")
-
         def cfg(name):
             return tiny_cfg(steps=60, out=str(tmp_path / name),
                             **{"pretrain.mode": "random", "pretrain.steps": 30})
@@ -991,6 +983,39 @@ class TestRunExperiments:
 
         battery.run("job", job)
         assert len(calls) == 2   # a complete job is skipped
+
+    @pytest.fixture(scope="class")
+    def dry_root(self, tmp_path_factory):
+        """A dry run of the battery into a root whose visitation.csv is stale."""
+        root = str(tmp_path_factory.mktemp("battery"))
+        stale = os.path.join(root, battery.VISITATION_CSV)
+        os.makedirs(os.path.dirname(stale))
+        with open(stale, "w") as f:
+            f.write("policy,min,mean,max\nrandom,1,1,1\ntask,1,1,1\ncure,9,9,9\n")
+        battery.dry_run(root)
+        return root
+
+    def test_dry_run_gives_every_criterion_its_numbers(self, dry_root):
+        """Every file criteria 5-8 read exists, and each reader returns finite
+        numbers of the shape its criterion compares; the orderings are not judged."""
+        for criterion in battery.CRITERIA:
+            for path in battery.criterion_files(criterion):
+                assert os.path.isfile(os.path.join(dry_root, path)), path
+        means = battery.visitation_means(dry_root)
+        assert set(means) == {"random", "task", "cure"}
+        assert all(np.isfinite(v) for v in means.values()), means
+        for group in ("reacher_hard", "reacher_hard_contrastive"):
+            rewards = battery.arm_rewards(dry_root, group)
+            assert set(rewards) == {"base", "cure"}
+            for arm, values in rewards.items():
+                assert values.shape == (3,) and np.all(np.isfinite(values)), (group, arm)
+        rewards = battery.pretrain_rewards(dry_root)
+        assert set(rewards) == {"random", "cure"}
+        assert all(np.isfinite(v) for v in rewards.values()), rewards
+
+    def test_scoring_replaces_a_stale_visitation_csv(self, dry_root):
+        means = battery.visitation_means(dry_root)
+        assert means != {"random": 1.0, "task": 1.0, "cure": 9.0}, means
 
 
 def quick_start_commands() -> list:
