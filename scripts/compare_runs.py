@@ -27,9 +27,9 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cure_rl import checkpoint
+from cure_rl.train import CHECKPOINT_FILE as CHECKPOINT, METRICS_FILE
 
-CSVS = ("metrics.csv", "pretrain_metrics.csv", "visitation.csv")
-CHECKPOINT = "checkpoint.ckpt"
+CSVS = (METRICS_FILE["main"], METRICS_FILE["pretrain"], "visitation.csv")
 SHOWN = 10  # differing arrays listed by name
 
 

@@ -2,9 +2,10 @@
 
 Every run is data: its group, its output path relative to a results root,
 its config file under ``configs/`` and its overrides. The visitation scoring
-reads two of those runs and writes ``visitation/visitation.csv``. One reader
-per criterion turns a root's artifacts into the numbers that criterion
-judges, and ``criterion_files`` names the files each reader opens.
+reopens two of those runs and writes ``visitation/visitation.csv``. One
+reader per criterion turns a root's artifacts into the numbers that
+criterion judges; ``criterion_files`` names the files each reader opens and
+``incomplete_runs`` the runs of a group that are not done.
 
 ``scripts/run_experiments.py`` runs the battery into ``results/``;
 ``dry_run`` runs all of it at a tiny scale and every reader on the result,
@@ -23,7 +24,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import ExperimentConfig, config_hash, load_config, set_by_path
 from .metrics import read_metrics
-from .train import train
+from .train import CHECKPOINT_FILE, METRICS_FILE, train
 from .visitation import visitation_experiment
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -72,7 +73,7 @@ CURE_ONLY = Run("visitation", "visitation/cure_only", "desk_point_reacher.txt",
 TASK_BASE = Run("visitation", "visitation/task_base", "desk_point_reacher.txt",
                 {"seed": 0, "cure.enabled": False})
 # the scoring's config, frozen SRL model and curious policy come from
-# CURE_ONLY, its task policy from TASK_BASE
+# CURE_ONLY's checkpoint, its task policy from TASK_BASE's
 VISITATION_CSV = "visitation/visitation.csv"
 
 RUNS = (
@@ -97,7 +98,7 @@ def run_cfg(run: Run, root: str, scale: dict | None = None) -> ExperimentConfig:
 
 def done(cfg) -> bool:
     """Whether the run's checkpoint holds the last step of its main phase."""
-    path = os.path.join(cfg.out, "checkpoint.ckpt")
+    path = os.path.join(cfg.out, CHECKPOINT_FILE)
     if not os.path.exists(path):
         return False
     trainer = ckpt.load(path, expected_hash=config_hash(cfg))[1]["trainer"]
@@ -108,7 +109,7 @@ def run(tag: str, cfg):
     if done(cfg):
         print(f"[skip] {tag}: {cfg.out} already complete", flush=True)
         return
-    path = os.path.join(cfg.out, "checkpoint.ckpt")
+    path = os.path.join(cfg.out, CHECKPOINT_FILE)
     resume = path if os.path.exists(path) else None
     t0 = time.monotonic()
     print(f"[{'resume' if resume else 'run'}] {tag} -> {cfg.out}", flush=True)
@@ -116,16 +117,15 @@ def run(tag: str, cfg):
     print(f"[done] {tag} in {(time.monotonic() - t0) / 60:.1f} min", flush=True)
 
 
-def score_visitation(root: str, scale: dict | None = None, episodes: int = EPISODES):
+def score_visitation(root: str, episodes: int = EPISODES):
     """Score the three policies of the visitation group's runs under ``root``
     into ``VISITATION_CSV``, replacing whatever that file held."""
     def checkpoint(r):
-        return os.path.join(root, r.path, "checkpoint.ckpt")
+        return os.path.join(root, r.path, CHECKPOINT_FILE)
 
-    results = visitation_experiment(
-        run_cfg(CURE_ONLY, root, scale), srl_checkpoint=checkpoint(CURE_ONLY),
-        task_checkpoint=checkpoint(TASK_BASE), cure_checkpoint=checkpoint(CURE_ONLY),
-        episodes=episodes, out_csv=os.path.join(root, VISITATION_CSV))
+    results = visitation_experiment(checkpoint(CURE_ONLY), checkpoint(TASK_BASE),
+                                    checkpoint(CURE_ONLY), episodes,
+                                    os.path.join(root, VISITATION_CSV))
     print(f"[done] visitation scoring: {results}", flush=True)
 
 
@@ -138,7 +138,7 @@ def run_battery(root: str, groups=GROUPS, scale: dict | None = None,
             if r.group == group:
                 run(r.path, run_cfg(r, root, scale))
         if group == "visitation":
-            score_visitation(root, scale, episodes)
+            score_visitation(root, episodes)
 
 
 # -- what criteria 5-8 read ------------------------------------------------------
@@ -149,7 +149,7 @@ def final_eval_reward(run_dir: str) -> float:
     eval intervals; averaging the final three rows measures where the policy
     ends up without changing the training budget.
     """
-    rows = [r for r in read_metrics(os.path.join(run_dir, "metrics.csv"))
+    rows = [r for r in read_metrics(os.path.join(run_dir, METRICS_FILE["main"]))
             if r["kind"] == "eval"]
     return float(np.mean([r["reward"] for r in rows[-3:]]))
 
@@ -189,7 +189,18 @@ def criterion_files(criterion: int) -> list:
     group = CRITERIA[criterion]
     if group == "visitation":
         return [VISITATION_CSV]
-    return [f"{r.path}/metrics.csv" for r in RUNS if r.group == group]
+    return [f"{r.path}/{METRICS_FILE['main']}" for r in RUNS if r.group == group]
+
+
+def incomplete_runs(root: str, group: str, scale: dict | None = None) -> list:
+    """The runs of ``group`` under ``root`` that are not ``done``, including
+    those whose checkpoint is refused, as paths relative to the root."""
+    def complete(r):
+        try:
+            return done(run_cfg(r, root, scale))
+        except ckpt.CheckpointError:
+            return False
+    return [r.path for r in RUNS if r.group == group and not complete(r)]
 
 
 def dry_run(root: str):

@@ -1,6 +1,7 @@
 """Command-line entry points: train / visitation / plot / gradcheck. ``train
 --resume`` continues a run from its checkpoint in either phase; ``--steps 0``
-stops a run after pretraining."""
+stops a run after pretraining. ``visitation`` takes only checkpoints: each
+run's model opens with the ``config.txt`` beside its checkpoint."""
 
 from __future__ import annotations
 
@@ -15,16 +16,6 @@ from .metrics import COLUMNS
 from .plotting import plot_reward_curves
 from .train import train
 from .visitation import visitation_experiment
-
-
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", metavar="PATH", help="config file (key = value lines)")
-    p.add_argument("--seed", type=int, metavar="N")
-    p.add_argument("--task", metavar="NAME")
-    p.add_argument("--steps", type=int, metavar="N")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   dest="overrides", help="dotted-path override, repeatable")
-    p.add_argument("--out", metavar="DIR", help="output directory")
 
 
 def build_config(args) -> ExperimentConfig:
@@ -53,14 +44,19 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run the full training protocol")
-    _add_config_flags(p_train)
+    p_train.add_argument("--config", metavar="PATH", help="config file (key = value lines)")
+    p_train.add_argument("--seed", type=int, metavar="N")
+    p_train.add_argument("--task", metavar="NAME")
+    p_train.add_argument("--steps", type=int, metavar="N")
+    p_train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                         dest="overrides", help="dotted-path override, repeatable")
+    p_train.add_argument("--out", metavar="DIR", help="output directory")
     p_train.add_argument("--resume", metavar="CKPT",
                          help="continue a run of the same config from its checkpoint")
 
     p_vis = sub.add_parser("visitation",
                            help="score visited states of three policies under a "
-                                "frozen SRL model")
-    _add_config_flags(p_vis)
+                                "frozen SRL model, in the curious run's config")
     p_vis.add_argument("--srl-ckpt", required=True, metavar="CKPT",
                        help="checkpoint providing the frozen reference SRL model")
     p_vis.add_argument("--task-ckpt", required=True, metavar="CKPT",
@@ -68,6 +64,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_vis.add_argument("--cure-ckpt", required=True, metavar="CKPT",
                        help="checkpoint providing the curious policy")
     p_vis.add_argument("--episodes", type=int, default=10)
+    p_vis.add_argument("--out", default="runs", metavar="DIR", help="output directory")
 
     p_plot = sub.add_parser("plot", help="render reward curves from metric CSVs")
     p_plot.add_argument("csv", nargs="+", help="metrics.csv files (one per seed)")
@@ -95,12 +92,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "visitation":
-        cfg = build_config(args)
-        out_dir = cfg.out or "runs/latest"
-        os.makedirs(out_dir, exist_ok=True)
-        out_csv = os.path.join(out_dir, "visitation.csv")
-        results = visitation_experiment(cfg, args.srl_ckpt, args.task_ckpt,
-                                        args.cure_ckpt, args.episodes, out_csv)
+        os.makedirs(args.out, exist_ok=True)
+        out_csv = os.path.join(args.out, "visitation.csv")
+        results = visitation_experiment(args.srl_ckpt, args.task_ckpt, args.cure_ckpt,
+                                        args.episodes, out_csv)
         for name, r in results.items():
             print(f"{name}: min={r['min']:.6g} mean={r['mean']:.6g} max={r['max']:.6g}")
         cure_mean = results["cure"]["mean"]

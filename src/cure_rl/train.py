@@ -26,8 +26,9 @@ its actor (detached) or the next agent's critic (with a graph) needs the
 moved encoder. Every update step marks all seven ``PHASES``, also for an
 agent that its mode does not update or that the run does not have.
 
-Evaluation runs the deterministic task policy through ``envs.rollout``, the
-episode loop the visitation experiment also runs, on its own env and stream.
+Evaluation runs the task agent's ``Trainer.policy`` through ``envs.rollout``,
+the episode loop the visitation experiment also runs, on its own env and
+stream. ``load_run`` reopens a finished run.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import cure
 from .autodiff import no_grad
-from .config import ExperimentConfig, config_hash, save_config
+from .config import ExperimentConfig, config_hash, load_config, save_config
 from .cure import ActionSource
 from .envs import make_task, rollout
 from .metrics import LossAggregator, MetricsWriter, check_rows
@@ -62,7 +63,10 @@ _UPDATED = {"random": (), "cure": ("curious",), "mixed": ("task", "curious")}
 # the loop position a checkpoint's ``trainer`` entry holds; ``metrics_rows``
 # counts the rows written to the phase's metrics file
 _RESUMED = ("phase", "phase_t", "episode", "episode_reward", "eval_count", "metrics_rows")
+# the files of a run directory
 METRICS_FILE = {"pretrain": "pretrain_metrics.csv", "main": "metrics.csv"}
+CHECKPOINT_FILE = "checkpoint.ckpt"
+CONFIG_FILE = "config.txt"
 
 
 class RngStreams:
@@ -96,7 +100,6 @@ class Trainer:
         cfg.validate()
         self.cfg = cfg
         self.out_dir = out_dir or cfg.out
-        os.makedirs(self.out_dir, exist_ok=True)
         self.phase_hook = phase_hook or (lambda t, phase: None)
         self.hash = config_hash(cfg)
 
@@ -123,6 +126,8 @@ class Trainer:
         self.eval_count = 0
         self.metrics_rows = 0
         self.obs = None
+        # last, so a config the env or the models refuse leaves no directory
+        os.makedirs(self.out_dir, exist_ok=True)
 
     def _agents(self) -> dict:
         """Each agent by its role, in update order (``None`` for a run without it)."""
@@ -261,6 +266,13 @@ class Trainer:
         return self._run("main", self.cfg.mode, self.cfg.steps, resume)
 
     # -- evaluation: isolated env and RNG, deterministic task policy -------------
+    def policy(self, role: str):
+        """The ``role`` agent's tanh-mean action on a frame stack, as evaluation
+        and the visitation experiment run it."""
+        agent = self._agents()[role]
+        return lambda obs: agent.act(self.srl.encoder, center_crop(obs, self.crop),
+                                     deterministic=True)
+
     def evaluate(self, episodes: int | None = None) -> float:
         cfg = self.cfg
         episodes = cfg.eval.episodes if episodes is None else episodes
@@ -268,8 +280,7 @@ class Trainer:
             raise ValueError(f"episodes must be at least 1, got {episodes}")
         rng = self.streams.eval_rng(self.eval_count)
         self.eval_count += 1
-        return rollout(make_task(cfg, rng), lambda obs: self.task_agent.act(
-            self.srl.encoder, center_crop(obs, self.crop), deterministic=True), episodes)
+        return rollout(make_task(cfg, rng), self.policy("task"), episodes)
 
     # -- checkpointing -----------------------------------------------------------
     def param_groups(self) -> list:
@@ -284,7 +295,7 @@ class Trainer:
         return opts
 
     def save_checkpoint(self, path: str | None = None) -> str:
-        path = path or os.path.join(self.out_dir, "checkpoint.ckpt")
+        path = path or os.path.join(self.out_dir, CHECKPOINT_FILE)
         state = {
             "param": {g.name: g.data for g in self.param_groups()},
             "opt": {name: opt.export_state() for name, opt in self._optimizers().items()},
@@ -326,8 +337,18 @@ def train(cfg: ExperimentConfig, out_dir: str | None = None,
         if trainer.metrics_rows:
             check_rows(os.path.join(trainer.out_dir, METRICS_FILE[trainer.phase]),
                        trainer.metrics_rows)
-    save_config(cfg, os.path.join(trainer.out_dir, "config.txt"))
+    save_config(cfg, os.path.join(trainer.out_dir, CONFIG_FILE))
     if trainer.phase != "main":
         trainer.run_pretrain(resume=bool(resume))
     trainer.run_main(resume=trainer.phase == "main")
+    return trainer
+
+
+def load_run(checkpoint: str) -> Trainer:
+    """The run that saved ``checkpoint``, rebuilt from the ``CONFIG_FILE`` beside
+    it and restored under that config's hash (``CheckpointError`` if the two
+    disagree). Building it writes no file."""
+    run_dir = os.path.dirname(os.path.abspath(checkpoint))
+    trainer = Trainer(load_config(os.path.join(run_dir, CONFIG_FILE)), run_dir)
+    trainer.load_checkpoint(checkpoint)
     return trainer

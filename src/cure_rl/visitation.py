@@ -4,51 +4,26 @@ Rolls out three policies (random, task-trained, curiosity-trained) in the
 same task, scores every visited observation with a frozen reference SRL
 model, and reports min/mean/max error per step for each policy as CSV.
 
-Each policy runs through ``envs.rollout``, the loop that evaluation runs. A
-trained policy is the checkpoint's agent acting through ``SacAgent.act``
-on the centre crop with its tanh-mean action, as in evaluation; the random
-policy draws uniform actions from the rollout's env stream.
+Each run opens with ``train.load_run`` in the config it ran, so runs of
+different SRL shapes score together; rollouts and scoring use the curious
+run's config. Every policy runs through ``envs.rollout``, the loop of
+evaluation: a trained one is its run's ``Trainer.policy``, as in evaluation,
+and the random one draws uniform actions from the rollout's env stream.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from . import checkpoint as ckpt
 from .config import ExperimentConfig
 from .envs import make_task, rollout
 from .replay import augmented_views, center_crop
-from .sac import SacAgent
-from .srl import Encoder, SrlModel
-from .autodiff import ParamGroup
+from .srl import SrlModel
+from .train import load_run
 
 _VISIT_KEY_BASE = 2000
-
-
-def _load_groups(path: str, groups):
-    arrays, _, _ = ckpt.load(path, expected_hash=None)
-    for g in groups:
-        g.set(arrays[f"param/{g.name}"].astype(g.data.dtype))
-
-
-def build_reference_srl(cfg: ExperimentConfig, checkpoint_path: str) -> SrlModel:
-    """Frozen SRL model (encoder + head) restored from a finished run."""
-    model = SrlModel(np.random.default_rng(0), cfg)
-    _load_groups(checkpoint_path, model.groups)
-    return model
-
-
-def load_agent(cfg: ExperimentConfig, checkpoint_path: str, name: str,
-               action_dim: int) -> tuple[SacAgent, Encoder]:
-    """Agent ``name`` (``task`` or ``cure``) and an encoder, holding the
-    checkpoint's ``encoder`` and ``<name>.actor`` groups: all that
-    ``SacAgent.act`` reads. Acting reads neither the critics nor ``gamma``."""
-    rng = np.random.default_rng(0)
-    encoder = Encoder(rng, cfg.frames, cfg.crop, cfg.srl.z_dim)
-    agent = SacAgent(rng, cfg, action_dim, name, cfg.gamma)
-    actor = next(g for g in agent.groups if g.name == f"{name}.actor")
-    _load_groups(checkpoint_path, [ParamGroup("encoder", encoder.params()), actor])
-    return agent, encoder
 
 
 def score_trajectories(cfg: ExperimentConfig, ref_srl: SrlModel, act,
@@ -78,24 +53,20 @@ def score_trajectories(cfg: ExperimentConfig, ref_srl: SrlModel, act,
     return np.asarray(errors)
 
 
-def visitation_experiment(cfg: ExperimentConfig, srl_checkpoint: str,
-                          task_checkpoint: str, cure_checkpoint: str,
-                          episodes: int, out_csv: str) -> dict:
-    """Score {random, task, cure} policies against one frozen SRL model."""
+def visitation_experiment(srl_checkpoint: str, task_checkpoint: str,
+                          cure_checkpoint: str, episodes: int, out_csv: str) -> dict:
+    """Score {random, task, cure} policies against the frozen SRL model of
+    ``srl_checkpoint``'s run, in the config of ``cure_checkpoint``'s run."""
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
-    ref = build_reference_srl(cfg, srl_checkpoint)
-    action_dim = make_task(cfg, np.random.default_rng(0)).spec.action_dim
-
-    def policy(path, name):
-        agent, encoder = load_agent(cfg, path, name, action_dim)
-        return lambda obs: agent.act(encoder, center_crop(obs, cfg.crop), deterministic=True)
-
-    policies = {"random": None, "task": policy(task_checkpoint, "task"),
-                "cure": policy(cure_checkpoint, "cure")}
+    paths = [os.path.abspath(p) for p in (srl_checkpoint, task_checkpoint, cure_checkpoint)]
+    runs = {p: load_run(p) for p in dict.fromkeys(paths)}   # each checkpoint once
+    srl_run, task_run, cure_run = (runs[p] for p in paths)
+    policies = {"random": None, "task": task_run.policy("task"),
+                "cure": cure_run.policy("curious")}
     results = {}
     for i, (name, act) in enumerate(policies.items()):
-        errs = score_trajectories(cfg, ref, act, episodes, i)
+        errs = score_trajectories(cure_run.cfg, srl_run.srl, act, episodes, i)
         results[name] = {"min": float(errs.min()), "mean": float(errs.mean()),
                          "max": float(errs.max())}
     with open(out_csv, "w") as f:

@@ -3,7 +3,8 @@
 Criteria 1-4, 9 and 10 run from scratch in seconds to minutes. Criteria 5-8
 judge the desk-scale battery that scripts/run_experiments.py writes into
 results/; they read it through ``cure_rl.battery``, which defines its runs and
-layout, and skip when its files are absent, naming them and the command that
+layout, and skip when its files are absent or (criteria 6-8) a run of the
+group is not done under its checkpoint, naming them and the command that
 writes them.
 """
 
@@ -45,12 +46,18 @@ def small_cfg(**kw):
 
 
 def need_artifacts(criterion: int):
+    """Skip unless the criterion's files exist and, for criteria 6-8, every run
+    of its group is done under its checkpoint."""
+    group = battery.CRITERIA[criterion]
     missing = [p for p in battery.criterion_files(criterion)
                if not os.path.exists(os.path.join(battery.RESULTS, p))]
-    if missing:
-        pytest.skip(f"missing experiment artifacts under results/: {', '.join(missing)}; "
-                    "write them with python scripts/run_experiments.py --only "
-                    f"{battery.CRITERIA[criterion]}")
+    incomplete = [] if criterion == 5 else battery.incomplete_runs(battery.RESULTS, group)
+    reasons = [f"{what}: {', '.join(items)}" for what, items in (
+        ("missing experiment artifacts under results/", missing),
+        ("runs not done", incomplete)) if items]
+    if reasons:
+        pytest.skip(f"{'; '.join(reasons)}; write them with "
+                    f"python scripts/run_experiments.py --only {group}")
 
 
 def test_criterion_1_gradient_suite():

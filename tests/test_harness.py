@@ -26,7 +26,7 @@ from cure_rl.envs import TASK_NAMES
 from cure_rl.metrics import COLUMNS, LossAggregator, MetricsWriter, read_metrics
 from cure_rl.plotting import collect_series, plot_reward_curves
 from cure_rl.srl import Encoder
-from cure_rl.train import PHASES, Trainer, train
+from cure_rl.train import CHECKPOINT_FILE, PHASES, Trainer, train
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
 
@@ -496,6 +496,20 @@ class TestTrainer:
         assert any(r["kind"] == "train" for r in rows)
         assert any(r["kind"] == "eval" for r in rows)
         assert os.path.exists(os.path.join(out, "checkpoint.ckpt"))
+
+    @pytest.mark.parametrize("overrides,match", [
+        ({"task": "nope"}, "unknown task"),
+        ({"render_size": 12, "crop_size": 12}, "render size"),
+        ({"task": "reacher_hard", "horizon": 41}, "multiple of action repeat"),
+        ({"crop_size": 8}, "too small for the four-conv encoder")],
+        ids=["task", "render_size", "horizon", "crop"])
+    def test_refused_config_leaves_no_run_directory(self, tmp_path, overrides, match):
+        """A config that passes ``validate()`` but that the env or the models
+        refuse raises before the run directory is made."""
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=match):
+            Trainer(tiny_cfg(**overrides), str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("head", ["rae", "contrastive"])
     def test_rerun_is_byte_identical(self, tmp_path, head):
@@ -1017,6 +1031,28 @@ class TestRunExperiments:
         means = battery.visitation_means(dry_root)
         assert means != {"random": 1.0, "task": 1.0, "cure": 9.0}, means
 
+    @pytest.mark.parametrize("defect", ["short", "no_checkpoint", "refused_checkpoint"])
+    def test_incomplete_run_is_named(self, dry_root, tmp_path, defect):
+        """A run whose metrics.csv exists but whose checkpoint stops short of
+        its last step, is missing or belongs to another run is not done; the
+        other runs of its group are."""
+        root = str(tmp_path / "root")
+        shutil.copytree(dry_root, root)
+        for group in battery.GROUPS:
+            assert battery.incomplete_runs(root, group, battery.TINY) == [], group
+        run = next(r for r in battery.RUNS if r.path == "reacher_hard/base_s2")
+        path = os.path.join(root, run.path, CHECKPOINT_FILE)
+        if defect == "short":   # main step 100 of the dry run's 150
+            train(battery.run_cfg(run, root, {**battery.TINY, "steps": 100}))
+        else:
+            os.remove(path)
+        if defect == "refused_checkpoint":
+            shutil.copy(os.path.join(root, "reacher_hard", "cure_s2", CHECKPOINT_FILE), path)
+        assert os.path.exists(os.path.join(root, run.path, "metrics.csv"))
+        assert battery.incomplete_runs(root, "reacher_hard", battery.TINY) == [
+            "reacher_hard/base_s2"]
+        assert battery.incomplete_runs(root, "pretrain", battery.TINY) == []
+
 
 def quick_start_commands() -> list:
     """The ``cure-rl`` commands of README's Quick start, as argument lists."""
@@ -1065,7 +1101,7 @@ class TestCli:
     def test_readme_quick_start_command_parses(self, monkeypatch, argv):
         monkeypatch.chdir(REPO)
         args = make_parser().parse_args(argv)
-        if args.command in ("train", "visitation"):
+        if args.command == "train":
             build_config(args)
 
     def test_train_subcommand_with_overrides(self, tmp_path):
