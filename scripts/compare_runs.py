@@ -2,6 +2,7 @@
 """Tell whether two run directories hold the same run, and where they part.
 
     python scripts/compare_runs.py DIR_A DIR_B
+    python scripts/compare_runs.py --against REV
 
 ``metrics.csv``, ``pretrain_metrics.csv`` and ``visitation.csv`` are compared
 byte for byte. When one differs, the first differing row and the largest
@@ -12,6 +13,15 @@ compared array by array (dtype, shape and bytes) and entry by entry in its
 metadata; a checkpoint either side cannot load (a corrupt file or another
 format version) is reported as a difference. Exits 0 when every file present
 in either directory is identical, 1 otherwise.
+
+``--against REV`` proves that the working tree keeps the behaviour of git
+revision ``REV``. It exports ``REV``'s ``src`` and ``configs`` with ``git
+archive REV | tar -x`` (nothing in ``.git`` changes), runs the canonical run
+set ``JOBS`` with each tree's own code and configs, at most ``WORKERS`` jobs at
+a time with one BLAS thread each, and prints one verdict per run (A is
+``REV``, B the working tree), then each run's per-file report. It exits 0
+only when every file of every run is identical. The runs go under a
+temporary directory that is deleted afterwards.
 """
 
 import argparse
@@ -20,11 +30,15 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from cure_rl import checkpoint
 from cure_rl.train import CHECKPOINT_FILE as CHECKPOINT, METRICS_FILE
@@ -145,13 +159,121 @@ def compare_dirs(dir_a: str, dir_b: str):
     return identical, out
 
 
+# -- the working tree against a git revision ------------------------------
+
+WORKERS = 2
+THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# every train run: a 1200-step desk run whose updates start at step 600
+DESK = ("--seed", "0", "--steps", "1200", "--set", "init_steps=600",
+        "--set", "eval.interval=600", "--set", "eval.episodes=1")
+
+
+def _train(config: str, *sets: str) -> tuple:
+    return ("train", "--config", f"configs/{config}.txt", *DESK,
+            *(a for s in sets for a in ("--set", s)))
+
+
+def _visitation(group: str) -> tuple:
+    """Visitation scored by the group's mixed run, against its task and cure runs."""
+    def ckpt(run):
+        return os.path.join("{root}", group, run, CHECKPOINT)
+    return ("visitation", "--srl-ckpt", ckpt("mixed"), "--task-ckpt", ckpt("task"),
+            "--cure-ckpt", ckpt("cure"), "--episodes", "2")
+
+
+# (run name, cure-rl arguments); ``{root}`` is the directory holding one
+# tree's runs. A visitation run reads runs listed before it.
+JOBS = [
+    ("reacher_hard/rae", _train("desk_reacher_hard")),
+    ("reacher_hard/contrastive", _train("desk_reacher_hard", "srl.head=contrastive")),
+    ("reacher_hard/no_cure", _train("desk_reacher_hard", "cure.enabled=false")),
+    ("reacher_hard/mode_cure", _train("desk_reacher_hard", "mode=cure")),
+    ("reacher_hard/pretrain_cure",
+     _train("desk_reacher_hard", "pretrain.mode=cure", "pretrain.steps=700")),
+    ("reacher_hard/pretrain_random",
+     _train("desk_reacher_hard", "pretrain.mode=random", "pretrain.steps=700")),
+] + [(f"point_reacher_{head}/{run}", args) for head in ("rae", "contrastive") for run, args in (
+    ("task", _train("desk_point_reacher", f"srl.head={head}", "cure.enabled=false")),
+    ("cure", _train("desk_point_reacher", f"srl.head={head}", "mode=cure")),
+    ("mixed", _train("desk_point_reacher", f"srl.head={head}")),
+    ("visitation", _visitation(f"point_reacher_{head}")))]
+
+
+def export(rev: str, dest: str):
+    """``REV``'s ``src`` and ``configs``, written under ``dest`` by ``git archive``."""
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev, "src", "configs"],
+                               stdout=subprocess.PIPE)
+    untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    if archive.wait() != 0 or untar.returncode != 0:
+        raise SystemExit(f"compare_runs: cannot export {rev!r} with git archive")
+
+
+def run_job(tree: str, root: str, name: str, args: tuple):
+    """Runs one job of ``JOBS`` with ``tree``'s code; returns (exit code, stderr)."""
+    args = tuple(a.format(root=root) for a in args)
+    cmd = [sys.executable, "-m", "cure_rl.cli", *args, "--out", os.path.join(root, name)]
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **THREADS)
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def against(rev: str, work: str) -> tuple:
+    """(identical, verdict lines, report lines) for ``JOBS`` at ``rev`` (A)
+    and in the working tree (B)."""
+    trees = {"A": os.path.join(work, "tree"), "B": ROOT}
+    roots = {side: os.path.join(work, f"runs_{side}") for side in trees}
+    export(rev, trees["A"])
+    results = {}
+    # a visitation job starts once every train job before it has finished
+    batches, batch = [], []
+    for name, args in JOBS:
+        if args[0] != "train" and batch:
+            batches.append(batch)
+            batch = []
+        batch.append((name, args))
+    batches.append(batch)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for batch in batches:
+            futures = {(side, name): pool.submit(run_job, trees[side], roots[side], name, args)
+                       for name, args in batch for side in trees}
+            results.update((key, f.result()) for key, f in futures.items())
+    identical, verdicts, report = True, [], []
+    for name, _ in JOBS:
+        failed = [(side, *results[side, name]) for side in trees if results[side, name][0]]
+        if failed:
+            same = False
+            verdicts.append(f"{name}: failed in " + " and ".join(side for side, *_ in failed))
+            for side, code, err in failed:
+                tail = err.strip().splitlines()[-1:] or [""]
+                report.append(f"== {name} ({side} exited {code}): {tail[0]}")
+        else:
+            same, lines = compare_dirs(*(os.path.join(roots[side], name) for side in trees))
+            verdicts.append(f"{name}: {'identical' if same else 'differs'}")
+            report += [f"== {name}"] + lines
+        identical = identical and same
+    return identical, verdicts, report
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("dir_a")
-    ap.add_argument("dir_b")
+    ap.add_argument("dirs", nargs="*", metavar="DIR", help="two run directories")
+    ap.add_argument("--against", metavar="REV",
+                    help="run JOBS at git revision REV and in the working tree")
     args = ap.parse_args(argv)
-    identical, lines = compare_dirs(args.dir_a, args.dir_b)
-    print("\n".join(lines))
+    if args.against is None:
+        if len(args.dirs) != 2:
+            ap.error("give two run directories, or --against REV")
+        identical, lines = compare_dirs(*args.dirs)
+        print("\n".join(lines))
+        return 0 if identical else 1
+    if args.dirs:
+        ap.error("--against takes no run directories")
+    with tempfile.TemporaryDirectory(prefix="compare_runs-") as work:
+        identical, verdicts, report = against(args.against, work)
+    print(f"A: {args.against}, B: the working tree; {len(JOBS)} runs")
+    print("\n".join(verdicts + report))
     return 0 if identical else 1
 
 

@@ -10,10 +10,25 @@ returns ``False``, and the caller says so.
 
 Storage defaults to float32; float64 inputs are preserved so finite-difference
 oracles can run at full precision.
+
+Module-level ops make one tape node of a whole module: conv + bias + relu
+(``conv2d``, ``conv_transpose2d``), dense + relu (``dense``), a relu MLP on
+concatenated inputs (``mlp``), the encoder's dense + LayerNorm + tanh head
+(``dense_ln_tanh``), the actor's squashed Gaussian sample with its
+log-density (``squashed_gaussian``, split by ``Tensor.split``), the per-sample
+autoencoder error (``rae_error``) and the weight penalty (``sum_squares``).
+Each runs the numpy expressions of the op chain it replaced, with the same
+dtypes, operand order and memory layouts, so results keep every bit. Where
+that chain's tape summed three or more gradient terms into one tensor, the
+fused backward adds them in the order the tape did: floating-point addition
+commutes but does not associate. The generic ops stay for the losses, for
+``grad_check`` and as the tests' reference chains. Every op computes a
+gradient only for the inputs that require one.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,6 +59,17 @@ class _Node:
     def __init__(self, inputs, backward_fn):
         self.inputs = inputs
         self.backward_fn = backward_fn
+
+
+class _Parts(tuple):
+    """The gradients of the pieces of one ``Tensor.split``, by position
+    (``None`` for a piece none reached); the tape adds two position by position."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Parts(x if y is None else y if x is None else x + y
+                      for x, y in zip(self, other))
 
 
 class Tensor:
@@ -134,6 +160,29 @@ class Tensor:
                     pending[id(parent)] = pg
         return leaves
 
+    def split(self, sizes) -> tuple:
+        """Cut the last axis into pieces of the given sizes, one tensor each.
+
+        Their gradients come back as one concatenation, with zeros for a piece
+        none reached. A sum of zero-padded ``narrow`` gradients would turn a
+        -0.0 into 0.0; this keeps every bit.
+        """
+        ends = np.cumsum(sizes)
+        if ends[-1] != self.shape[-1]:
+            raise ValueError(f"split: sizes {list(sizes)} do not add up to {self.shape[-1]}")
+        pieces = np.split(self.data, ends[:-1], axis=-1)
+
+        def gather(parts):
+            return (np.concatenate([np.zeros_like(p) if g is None else g
+                                    for g, p in zip(parts, pieces)], axis=-1),)
+
+        joint = _make(self.data, (self,), gather)
+
+        def route(i):
+            return lambda g: (_Parts(g if j == i else None for j in range(len(pieces))),)
+
+        return tuple(_make(p, (joint,), route(i)) for i, p in enumerate(pieces))
+
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):
         return add(self, other)
@@ -198,27 +247,31 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _make(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _make(a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                 lambda g: (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                            _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _make(a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
+                 lambda g: (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     inv = 1.0 / b.data
     return _make(a.data * inv, (a, b),
-                 lambda g: (_unbroadcast(g * inv, a.shape),
-                            _unbroadcast(-g * a.data * inv * inv, b.shape)))
+                 lambda g: (_unbroadcast(g * inv, a.shape) if a.requires_grad else None,
+                            _unbroadcast(-g * a.data * inv * inv, b.shape)
+                            if b.requires_grad else None))
 
 
 def neg(a) -> Tensor:
@@ -231,18 +284,78 @@ def matmul(a, b) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     return _make(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+                 lambda g: (g @ b.data.T if a.requires_grad else None,
+                            a.data.T @ g if b.requires_grad else None))
 
 
-def dense(x, w, b) -> Tensor:
-    """Affine map x @ w + b with broadcast bias."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"dense: incompatible shapes x={x.shape} w={w.shape}")
+def _check_dense(op, x_shape, w, b):
+    if len(x_shape) != 2 or w.ndim != 2 or x_shape[1] != w.shape[0]:
+        raise ValueError(f"{op}: incompatible shapes x={x_shape} w={w.shape}")
     if b.shape != (w.shape[1],):
-        raise ValueError(f"dense: bias shape {b.shape} != ({w.shape[1]},)")
-    return _make(x.data @ w.data + b.data, (x, w, b),
-                 lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+        raise ValueError(f"{op}: bias shape {b.shape} != ({w.shape[1]},)")
+
+
+def _relu(y: np.ndarray):
+    """(relu(y), mask) as the ``relu`` op computes them."""
+    mask = y > 0
+    return y * mask, mask
+
+
+def dense(x, w, b, relu: bool = False) -> Tensor:
+    """Affine map x @ w + b with broadcast bias, through a relu if ``relu``."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_dense("dense", x.shape, w, b)
+    y = x.data @ w.data + b.data
+    if relu:
+        y, mask = _relu(y)
+
+    def backward(g):
+        if relu:
+            g = g * mask
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return _make(y, (x, w, b), backward)
+
+
+def mlp(inputs, params) -> Tensor:
+    """A stack of dense layers with a relu between each two, as one op.
+
+    ``inputs`` are concatenated along axis 1 (the input gradient is split back
+    into one view per input); ``params`` is ``[w1, b1, w2, b2, ...]``.
+    """
+    inputs = [as_tensor(t) for t in inputs]
+    params = [as_tensor(p) for p in params]
+    if not inputs or not params or len(params) % 2:
+        raise ValueError("mlp: needs at least one input and (w, b) pairs of parameters")
+    h = inputs[0].data if len(inputs) == 1 else \
+        np.concatenate([t.data for t in inputs], axis=1)
+    layers = list(zip(params[0::2], params[1::2]))
+    acts, masks = [], []       # each layer's input; each hidden layer's relu mask
+    for i, (w, b) in enumerate(layers):
+        _check_dense("mlp", h.shape, w, b)
+        acts.append(h)
+        h = h @ w.data + b.data
+        if i < len(layers) - 1:
+            h, mask = _relu(h)
+            masks.append(mask)
+
+    def backward(g):
+        grads = []
+        for i in reversed(range(len(layers))):
+            w, b = layers[i]
+            if i < len(layers) - 1:
+                g = g * masks[i]
+            grads += [g.sum(axis=0) if b.requires_grad else None,
+                      acts[i].T @ g if w.requires_grad else None]
+            g = g @ w.data.T if i or any(t.requires_grad for t in inputs) else None
+        ends = np.cumsum([t.shape[1] for t in inputs])
+        gx = [None if g is None or not t.requires_grad else g[:, end - t.shape[1]:end]
+              for t, end in zip(inputs, ends)]
+        return tuple(gx) + tuple(reversed(grads))
+
+    return _make(h, inputs + params, backward)
 
 
 # -- shape manipulation ------------------------------------------------
@@ -340,7 +453,8 @@ def minimum(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     mask = a.data <= b.data
     return _make(np.minimum(a.data, b.data), (a, b),
-                 lambda g: (_unbroadcast(g * mask, a.shape), _unbroadcast(g * ~mask, b.shape)))
+                 lambda g: (_unbroadcast(g * mask, a.shape) if a.requires_grad else None,
+                            _unbroadcast(g * ~mask, b.shape) if b.requires_grad else None))
 
 
 # -- reductions --------------------------------------------------------
@@ -418,9 +532,38 @@ def _scatter(xh: np.ndarray, kmat: np.ndarray, stride: int, ho: int, wo: int) ->
     return acc
 
 
-def conv2d(x, k, stride: int = 1) -> Tensor:
-    """Valid (no-padding) cross-correlation with a 3x3 kernel."""
+def _bias_relu(op, y: np.ndarray, b, relu: bool):
+    """``y`` plus the per-channel bias ``b`` (if given), through a relu (if
+    ``relu``), as ``y + reshape(b, (1, -1, 1, 1))`` and ``relu`` compute it.
+    Returns the result and the relu mask (``None`` without relu)."""
+    if b is not None:
+        if b.shape != (y.shape[1],):
+            raise ValueError(f"{op}: bias shape {b.shape} != ({y.shape[1]},)")
+        y = y + b.data.reshape((1, -1, 1, 1))
+    if not relu:
+        return y, None
+    return _relu(y)
+
+
+def _bias_relu_grad(g: np.ndarray, b, mask):
+    """Backward of ``_bias_relu``: (gradient of ``y``, gradient of ``b``)."""
+    if mask is not None:
+        g = g * mask
+    gb = None
+    if b is not None and b.requires_grad:
+        gb = _unbroadcast(g, (1, b.shape[0], 1, 1)).reshape(b.shape)
+    return g, gb
+
+
+def _conv_inputs(x, k, b):
+    return (x, k) if b is None else (x, k, b)
+
+
+def conv2d(x, k, stride: int = 1, b=None, relu: bool = False) -> Tensor:
+    """Valid (no-padding) cross-correlation with a 3x3 kernel, plus a bias
+    per output channel if ``b`` is given, through a relu if ``relu``."""
     x, k = as_tensor(x), as_tensor(k)
+    b = None if b is None else as_tensor(b)
     if stride not in (1, 2):
         raise ValueError(f"conv2d: stride must be 1 or 2, got {stride}")
     if x.ndim != 4 or k.ndim != 4 or k.shape[2:] != (3, 3):
@@ -436,24 +579,30 @@ def conv2d(x, k, stride: int = 1) -> Tensor:
 
     cols = _im2col(_nhwc(x.data), stride, ho, wo)
     kmat = k.data.transpose(0, 2, 3, 1).reshape(f, 9 * c)
-    out = (cols @ kmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+    out, mask = _bias_relu("conv2d", (cols @ kmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2),
+                           b, relu)
 
     def backward(g):
+        g, gb = _bias_relu_grad(g, b, mask)
         gh = _nhwc(g)
-        gk = (gh.reshape(-1, f).T @ cols).reshape(f, 3, 3, c).transpose(0, 3, 1, 2)
+        gk = (gh.reshape(-1, f).T @ cols).reshape(f, 3, 3, c).transpose(0, 3, 1, 2) \
+            if k.requires_grad else None
         gx = _scatter(gh, kmat, stride, h, w).transpose(0, 3, 1, 2) if x.requires_grad else None
-        return (gx, gk)
+        return (gx, gk, gb)
 
-    return _make(out, (x, k), backward)
+    return _make(out, _conv_inputs(x, k, b), backward)
 
 
-def conv_transpose2d(x, k, stride: int = 1, output_padding: int = 0) -> Tensor:
-    """Adjoint of conv2d with the same stride.
+def conv_transpose2d(x, k, stride: int = 1, output_padding: int = 0, b=None,
+                     relu: bool = False) -> Tensor:
+    """Adjoint of conv2d with the same stride, plus a bias per output channel
+    if ``b`` is given, through a relu if ``relu``.
 
     Forward equals conv2d's gradient wrt its input; ``output_padding`` picks
     the exact inverse shape for stride 2 (must be 0 for stride 1).
     """
     x, k = as_tensor(x), as_tensor(k)
+    b = None if b is None else as_tensor(b)
     if stride not in (1, 2):
         raise ValueError(f"conv_transpose2d: stride must be 1 or 2, got {stride}")
     if output_padding not in (0, 1) or output_padding >= stride:
@@ -469,15 +618,164 @@ def conv_transpose2d(x, k, stride: int = 1, output_padding: int = 0) -> Tensor:
 
     xh = _nhwc(x.data)
     kmat = k.data.transpose(0, 2, 3, 1).reshape(f, 9 * c)
-    out = _scatter(xh, kmat, stride, ho, wo).transpose(0, 3, 1, 2)
+    out, mask = _bias_relu("conv_transpose2d",
+                           _scatter(xh, kmat, stride, ho, wo).transpose(0, 3, 1, 2), b, relu)
 
     def backward(g):
+        g, gb = _bias_relu_grad(g, b, mask)
         gcols = _im2col(_nhwc(g), stride, h, w)
-        gk = (xh.reshape(-1, f).T @ gcols).reshape(f, 3, 3, c).transpose(0, 3, 1, 2)
+        gk = (xh.reshape(-1, f).T @ gcols).reshape(f, 3, 3, c).transpose(0, 3, 1, 2) \
+            if k.requires_grad else None
         gx = (gcols @ kmat.T).reshape(n, h, w, f).transpose(0, 3, 1, 2) if x.requires_grad else None
-        return (gx, gk)
+        return (gx, gk, gb)
 
-    return _make(out, (x, k), backward)
+    return _make(out, _conv_inputs(x, k, b), backward)
+
+
+# -- module-level ops ----------------------------------------------------
+# Each runs the numpy expressions of the op chain it replaces, with the same
+# dtypes and operand order, so outputs and gradients keep every bit. Where the
+# chain's tape summed three or more gradient terms into one tensor, the fused
+# backward adds them in the order that tape did; two terms commute exactly.
+
+def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
+    """LayerNorm over the last axis of ``x`` as the composed chain computed it
+    (reduce_mean, sub, square, reduce_mean, add, sqrt, div, mul, add). Returns
+    the output and its backward, ``g -> (gx, ggain, gbias)``."""
+    axes = (x.ndim - 1,)
+    count = x.shape[-1]
+    mu = x.mean(axis=axes, keepdims=True)
+    centered = x - mu
+    sd = np.sqrt((centered * centered).mean(axis=axes, keepdims=True) + np.float32(eps))
+    inv = 1.0 / sd
+    normed = centered * inv
+
+    def backward(g):
+        gn = g * gain.data
+        gsd = _unbroadcast(-gn * centered * inv * inv, sd.shape)
+        gvar = np.broadcast_to(gsd / (2.0 * sd) / count, x.shape)
+        gc = gn * inv + gvar * 2.0 * centered
+        gx = gc + np.broadcast_to(_unbroadcast(-gc, mu.shape) / count, x.shape)
+        return (gx,
+                _unbroadcast(g * normed, gain.shape) if gain.requires_grad else None,
+                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+
+    return normed * gain.data + bias.data, backward
+
+
+def dense_ln_tanh(x, w, b, gain, bias, eps: float) -> Tensor:
+    """tanh(layer_norm(x.reshape(N, -1) @ w + b)): the encoder's latent head."""
+    x, w, b, gain, bias = (as_tensor(t) for t in (x, w, b, gain, bias))
+    flat = x.data.reshape((x.shape[0], -1))
+    _check_dense("dense_ln_tanh", flat.shape, w, b)
+    if gain.shape != b.shape or bias.shape != b.shape:
+        raise ValueError(f"dense_ln_tanh: gain {gain.shape} and bias {bias.shape} "
+                         f"must be {b.shape}")
+    normed, ln_backward = _layer_norm(flat @ w.data + b.data, gain, bias, eps)
+    y = np.tanh(normed)
+
+    def backward(g):
+        gh, ggain, gbias = ln_backward(g * (1.0 - y * y))
+        return ((gh @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+                flat.T @ gh if w.requires_grad else None,
+                gh.sum(axis=0) if b.requires_grad else None,
+                ggain, gbias)
+
+    return _make(y, (x, w, b, gain, bias), backward)
+
+
+LOG_2PI = math.log(2.0 * math.pi)
+LN2 = math.log(2.0)
+
+
+def squashed_gaussian(params, eps, log_std_min: float, log_std_max: float) -> Tensor:
+    """Reparameterized tanh-Gaussian sample and its log-density, as one op.
+
+    ``params`` is (N, 2A): the mean in its first A columns and the log standard
+    deviation, clipped to [log_std_min, log_std_max], in its last A. With
+    u = mean + std * eps, the result is (N, A + 1): the action tanh(u) in its
+    first A columns, and in its last the log-density of the action, the
+    Gaussian log-density of u minus sum_j 2 (ln 2 - u_j - softplus(-2 u_j)).
+    ``Tensor.split`` takes the two apart.
+
+    Four gradient terms reach u. The backward adds them in the order the tape
+    of the composed chain added them in an actor loss: the Gaussian term
+    (u - mean), then ln 2 - u, then -2 u, then the action's tanh.
+    """
+    params = as_tensor(params)
+    n, width = params.shape
+    act = width // 2
+    eps = np.asarray(eps).astype(np.float32)
+    if width != 2 * act or eps.shape != (n, act):
+        raise ValueError(f"squashed_gaussian: params {params.shape} need an even width "
+                         f"and eps of shape (N, width / 2), got {eps.shape}")
+    mean, raw = params.data[:, :act], params.data[:, act:]
+    inside = (raw > log_std_min) & (raw < log_std_max)
+    log_std = np.clip(raw, log_std_min, log_std_max)
+    std = np.exp(log_std)
+    u = mean + std * eps
+    a = np.tanh(u)
+    d = u - mean
+    inv = 1.0 / std
+    r = d * inv
+    gauss = (np.float32(-0.5) * (r * r) - log_std - np.float32(0.5 * LOG_2PI)).sum(axis=(1,))
+    m2u = np.float32(-2.0) * u
+    correction = (np.float32(2.0) * (np.float32(LN2) - u - np.logaddexp(0.0, m2u))).sum(axis=(1,))
+    logp = gauss - correction
+
+    def backward(g):
+        ga, gl = g[:, :act], g[:, act:]
+        gr = np.broadcast_to(gl, u.shape) * np.float32(-0.5) * 2.0 * r
+        gd = gr * inv
+        # of ln 2 - u - softplus(-2 u), and of -2 u
+        gc = np.broadcast_to(-gl, u.shape) * np.float32(2.0)
+        gm2u = (-gc) * (0.5 * (1.0 + np.tanh(0.5 * m2u)))
+        gu = gd + (-gc) + gm2u * np.float32(-2.0) + ga * (1.0 - a * a)
+        gstd = gu * eps + (-gr * d * inv * inv)
+        glog_std = (gstd * std + (-np.broadcast_to(gl, u.shape))) * inside
+        # the chain summed the zero-padded gradients of its two narrows:
+        # adding 0.0 turns a -0.0 into 0.0 as that sum did
+        return (np.concatenate([gu + (-gd), glog_std], axis=1) + 0.0,)
+
+    return _make(np.concatenate([a, logp[:, None]], axis=1), (params,), backward)
+
+
+def rae_error(recon, target, z, lambda_z: float) -> Tensor:
+    """Per-sample autoencoder error: the mean squared error of ``recon``
+    against ``target`` over all but the first axis, plus ``lambda_z`` times the
+    squared norm of each row of the latent ``z``."""
+    recon, target, z = as_tensor(recon), as_tensor(target), as_tensor(z)
+    if recon.shape != target.shape or z.ndim != 2 or z.shape[0] != recon.shape[0]:
+        raise ValueError(f"rae_error: recon {recon.shape}, target {target.shape} and "
+                         f"latent {z.shape} do not match")
+    axes = tuple(range(1, recon.ndim))
+    count = int(np.prod(recon.shape[1:]))
+    lam = np.float32(lambda_z)
+    diff = recon.data - target.data
+    errors = (diff * diff).mean(axis=axes) + (z.data * z.data).sum(axis=(1,)) * lam
+
+    def backward(g):
+        grecon = np.broadcast_to(np.expand_dims(g, axis=axes) / count, recon.shape).copy() \
+            * 2.0 * diff
+        gz = np.broadcast_to(np.expand_dims(g * lam, axis=(1,)), z.shape).copy() * 2.0 * z.data
+        return (grecon if recon.requires_grad else None,
+                -grecon if target.requires_grad else None,
+                gz if z.requires_grad else None)
+
+    return _make(errors, (recon, target, z), backward)
+
+
+def sum_squares(tensors) -> Tensor:
+    """Sum of the squares of every element of ``tensors``: the chain
+    ``reduce_sum(square(t))`` per tensor, added left to right."""
+    tensors = [as_tensor(t) for t in tensors]
+    total = None
+    for t in tensors:
+        term = (t.data * t.data).sum(axis=None)
+        total = term if total is None else total + term
+    return _make(total, tensors, lambda g: tuple(
+        np.broadcast_to(g, t.shape) * 2.0 * t.data if t.requires_grad else None
+        for t in tensors))
 
 
 # -- classification loss -------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each entry builds a small random problem, runs the backward pass, and
 compares against 64-bit central finite differences (``autodiff.grad_check``).
-Used by the `gradcheck` CLI subcommand and the test suite.
+Every public autodiff op has an entry named after it (``<op>`` or
+``<op>_<case>``); composite entries run the real losses and modules. Used by
+the `gradcheck` CLI subcommand and the test suite.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .config import ExperimentConfig, SrlConfig
+from .layers import LAYER_NORM_EPS
+from .sac import SacAgent
 from .srl import SrlModel
 
 
@@ -40,6 +44,14 @@ def gradient_suite(seed: int = 0) -> dict:
 
     m, n = _t(rng, 3, 5), _t(rng, 5, 2)
     check("matmul", lambda: ad.reduce_sum(ad.square(ad.matmul(m, n))), [m, n])
+    bias = _t(rng, 2)
+    check("dense", lambda: ad.reduce_sum(ad.square(ad.dense(m, n, bias))), [m, n, bias])
+    check("dense_relu", lambda: ad.reduce_sum(ad.square(ad.dense(m, n, bias, relu=True))),
+          [m, n, bias])
+    z_in, a_in = _t(rng, 4, 3), _t(rng, 4, 2)
+    layers = [_t(rng, 5, 6), _t(rng, 6), _t(rng, 6, 6), _t(rng, 6), _t(rng, 6, 1), _t(rng, 1)]
+    check("mlp", lambda: ad.reduce_sum(ad.square(ad.mlp([z_in, a_in], layers))),
+          [z_in, a_in] + layers)
     check("reshape", lambda: ad.reduce_sum(ad.square(ad.reshape(m, (5, 3)))), [m])
     check("narrow", lambda: ad.reduce_sum(ad.square(ad.narrow(m, 1, 1, 3))), [m])
     check("concat", lambda: ad.reduce_sum(ad.square(ad.concat([a, b], axis=1))), [a, b])
@@ -57,10 +69,35 @@ def gradient_suite(seed: int = 0) -> dict:
     check("minimum", lambda: ad.reduce_sum(ad.minimum(a, b)), [a, b])
     check("reduce_mean", lambda: ad.reduce_sum(ad.square(ad.reduce_mean(x, axis=1))), [x])
     check("reduce_sum_axis", lambda: ad.reduce_sum(ad.square(ad.reduce_sum(x, axis=0))), [x])
+    gain = Tensor(rng.uniform(0.5, 1.5, 6).astype(np.float32), requires_grad=True)
+    shift = _t(rng, 6)
+    weights = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
+    flat_in, proj, proj_b = _t(rng, 4, 2, 2, 2), _t(rng, 8, 6), _t(rng, 6)
+    check("dense_ln_tanh",
+          lambda: ad.reduce_sum(ad.dense_ln_tanh(flat_in, proj, proj_b, gain, shift,
+                                                 LAYER_NORM_EPS) * weights),
+          [flat_in, proj, proj_b, gain, shift])
+    # log-stds in (-1, 1): inside the clip range, so every probe is smooth
+    policy = Tensor(np.concatenate([rng.standard_normal((4, 3)), rng.uniform(-1, 1, (4, 3))],
+                                   axis=1).astype(np.float32), requires_grad=True)
+    noise = rng.standard_normal((4, 3))
+    mix = Tensor(rng.standard_normal((4, 4)).astype(np.float32))
+    check("squashed_gaussian",
+          lambda: ad.reduce_sum(ad.squashed_gaussian(policy, noise, -10.0, 2.0) * mix),
+          [policy])
+    check("sum_squares", lambda: ad.sum_squares([a, row, x]), [a, row, x])
+    recon, latent = _t(rng, 3, 2, 4, 4), _t(rng, 3, 5)
+    target = Tensor(rng.uniform(0.0, 1.0, (3, 2, 4, 4)).astype(np.float32))
+    check("rae_error", lambda: ad.reduce_sum(ad.rae_error(recon, target, latent, 0.1)),
+          [recon, latent])
 
     img = _t(rng, 2, 3, 8, 8)
     k = Tensor((rng.standard_normal((4, 3, 3, 3)) * 0.3).astype(np.float32),
                requires_grad=True)
+    kb = _t(rng, 4)
+    check("conv2d_bias_relu",
+          lambda: ad.reduce_sum(ad.square(ad.conv2d(img, k, 2, kb, relu=True))),
+          [img, k, kb], sample=64)
     check("conv2d_s1", lambda: ad.reduce_sum(ad.square(ad.conv2d(img, k, 1))),
           [img, k], sample=64)
     check("conv2d_s2", lambda: ad.reduce_sum(ad.square(ad.conv2d(img, k, 2))),
@@ -82,10 +119,17 @@ def gradient_suite(seed: int = 0) -> dict:
     check("conv_transpose2d_s2_odd",
           lambda: ad.reduce_sum(ad.square(ad.conv_transpose2d(odd_small, kt, 2, 1))),
           [odd_small, kt], sample=64)
+    ktb = _t(rng, 3)
+    check("conv_transpose2d_bias_relu",
+          lambda: ad.reduce_sum(ad.square(ad.conv_transpose2d(small, kt, 1, 0, ktb, relu=True))),
+          [small, kt, ktb], sample=64)
+    check("conv_transpose2d_bias",
+          lambda: ad.reduce_sum(ad.square(ad.conv_transpose2d(odd_small, kt, 2, 1, ktb))),
+          [odd_small, kt, ktb], sample=64)
 
     logits = _t(rng, 4, 4)
     targets = np.arange(4)
-    check("cross_entropy",
+    check("log_softmax_cross_entropy",
           lambda: ad.reduce_sum(ad.log_softmax_cross_entropy(logits, targets)), [logits])
 
     # composite modules, exercised through the real SRL losses
@@ -110,6 +154,19 @@ def gradient_suite(seed: int = 0) -> dict:
     check("encoder_forward", lambda: ad.reduce_sum(ad.square(encoder.encoder(Tensor(batch)))),
           [t for t in encoder.encoder.params().values() if t.requires_grad], sample=8)
 
+    # the SAC agent's losses, through its actor and critics
+    agent_cfg = ExperimentConfig(hidden_dim=16, srl=SrlConfig(z_dim=8))
+    agent = SacAgent(np.random.default_rng(seed + 3), agent_cfg, 2, "task", 0.99)
+    z = Tensor(np.tanh(rng.standard_normal((5, 8))).astype(np.float32), requires_grad=True)
+    noise = rng.standard_normal((5, 2))
+    check("actor_log_prob", lambda: ad.reduce_sum(agent.actor.sample(z, noise)[1]),
+          [z] + list(agent.actor.params().values()), sample=8)
+    actions = rng.uniform(-1.0, 1.0, (5, 2)).astype(np.float32)
+    # targets far from the fresh critics' outputs: a large, smooth gradient
+    y = (3.0 + rng.standard_normal(5)).astype(np.float32)
+    check("critic_loss", lambda: agent.critic_loss(z, actions, y),
+          [z] + list(agent.critic.params.values()), sample=8)
+
     return checks
 
 
@@ -117,8 +174,9 @@ def run_gradient_suite(seed: int = 0, tol: float = 1e-4):
     """Print the suite results; returns (checks, worst_error)."""
     checks = gradient_suite(seed)
     worst = max(checks.values())
+    width = max(map(len, checks))
     for name in sorted(checks):
         status = "ok" if checks[name] < tol else "FAIL"
-        print(f"{name:24s} {checks[name]:.3e}  {status}")
+        print(f"{name:{width}s} {checks[name]:.3e}  {status}")
     print(f"worst: {worst:.3e} (tolerance {tol:g})")
     return checks, worst

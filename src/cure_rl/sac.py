@@ -26,32 +26,25 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamGroup, Tensor, no_grad
 from .config import ExperimentConfig
-from .layers import Dense, merge_params
+from .layers import MLP, merge_params
 
 log = logging.getLogger(__name__)
 
-LOG_2PI = math.log(2.0 * math.pi)
-LN2 = math.log(2.0)
 
-
-class GaussianActor:
-    """Dense trunk emitting (mu, log_std); actions tanh-squashed into (-1,1)."""
+class GaussianActor(MLP):
+    """MLP trunk emitting (mu, log_std); actions tanh-squashed into (-1,1)."""
 
     def __init__(self, rng, cfg: ExperimentConfig, action_dim: int, name: str):
+        super().__init__(rng, cfg.srl.z_dim, cfg.hidden_dim, 2 * action_dim, name)
         self.action_dim = action_dim
         self.log_std_min, self.log_std_max = cfg.actor.log_std
-        self.l1 = Dense(rng, cfg.srl.z_dim, cfg.hidden_dim, f"{name}.l1")
-        self.l2 = Dense(rng, cfg.hidden_dim, cfg.hidden_dim, f"{name}.l2")
-        self.l3 = Dense(rng, cfg.hidden_dim, 2 * action_dim, f"{name}.l3")
 
     def dist_params(self, z: Tensor):
-        h = ad.relu(self.l1(z))
-        h = ad.relu(self.l2(h))
-        out = self.l3(h)
-        mu = ad.narrow(out, 1, 0, self.action_dim)
-        log_std = ad.clip(ad.narrow(out, 1, self.action_dim, self.action_dim),
-                          self.log_std_min, self.log_std_max)
-        return mu, log_std
+        """(mu, log_std) as arrays; builds no graph."""
+        with no_grad():
+            out = self(z).data
+        return (out[:, :self.action_dim],
+                np.clip(out[:, self.action_dim:], self.log_std_min, self.log_std_max))
 
     def sample(self, z: Tensor, eps: np.ndarray):
         """Reparameterized sample; returns (action, per-sample log-prob).
@@ -59,42 +52,30 @@ class GaussianActor:
         log pi = Gaussian log-density of the pre-squash sample minus the
         tanh correction sum_j 2*(ln 2 - u_j - softplus(-2 u_j)).
         """
-        mu, log_std = self.dist_params(z)
-        std = ad.exp(log_std)
-        u = mu + std * Tensor(eps.astype(np.float32))
-        a = ad.tanh(u)
-        gauss = ad.reduce_sum(
-            -0.5 * ad.square((u - mu) / std) - log_std - 0.5 * LOG_2PI, axis=1)
-        correction = ad.reduce_sum(
-            2.0 * (LN2 - u - ad.softplus(-2.0 * u)), axis=1)
-        return a, gauss - correction
+        out = ad.squashed_gaussian(self(z), eps, self.log_std_min, self.log_std_max)
+        a, logp = out.split([self.action_dim, 1])
+        return a, ad.reshape(logp, (-1,))
 
     def act(self, z: Tensor, rng=None, deterministic: bool = False) -> np.ndarray:
         """Numpy action for environment interaction (no graph)."""
-        with no_grad():
-            mu, log_std = self.dist_params(z)
+        mu, log_std = self.dist_params(z)
         if deterministic:
-            return np.tanh(mu.data)
+            return np.tanh(mu)
         eps = rng.standard_normal(mu.shape)
-        return np.tanh(mu.data + np.exp(log_std.data) * eps)
-
-    def params(self):
-        return merge_params(self.l1, self.l2, self.l3)
+        return np.tanh(mu + np.exp(log_std) * eps)
 
 
-class QFunction:
+class QFunction(MLP):
+    """Q(z, a): an MLP on the concatenated latent and action."""
+
     def __init__(self, rng, z_dim: int, action_dim: int, hidden: int, name: str):
-        self.l1 = Dense(rng, z_dim + action_dim, hidden, f"{name}.l1")
-        self.l2 = Dense(rng, hidden, hidden, f"{name}.l2")
-        self.l3 = Dense(rng, hidden, 1, f"{name}.l3")
+        super().__init__(rng, z_dim + action_dim, hidden, 1, name)
 
-    def __call__(self, z: Tensor, a: Tensor) -> Tensor:
-        h = ad.relu(self.l1(ad.concat([z, a], axis=1)))
-        h = ad.relu(self.l2(h))
-        return ad.reshape(self.l3(h), (-1,))
-
-    def params(self):
-        return merge_params(self.l1, self.l2, self.l3)
+    def __call__(self, z: Tensor, a: Tensor, frozen: bool = False) -> Tensor:
+        """Q(z, a) per sample; ``frozen`` takes the parameters as constants, so
+        a backward pass computes no gradient for them."""
+        weights = [Tensor(p.data) for p in self.weights] if frozen else self.weights
+        return ad.reshape(ad.mlp([z, a], weights), (-1,))
 
 
 class SacAgent:
@@ -148,14 +129,17 @@ class SacAgent:
                       rng: np.random.Generator) -> float:
         """One critic step; gradients reach the encoder through the graph of ``z``,
         and the target bootstraps from the no-grad next-state latent ``z_next``."""
-        y = self.compute_target(z_next, rewards, dones, rng)
-        a = Tensor(actions)
-        yt = Tensor(y.astype(np.float32))
-        loss = ad.reduce_mean(ad.square(self.q1(z, a) - yt)) + \
-            ad.reduce_mean(ad.square(self.q2(z, a) - yt))
+        loss = self.critic_loss(z, actions, self.compute_target(z_next, rewards, dones, rng))
         if not self.critic_opt.minimize(loss):
             log.warning("%s: critic update skipped: non-finite gradient", self.name)
         return loss.item()
+
+    def critic_loss(self, z: Tensor, actions, y: np.ndarray) -> Tensor:
+        """Both critics' mean squared error against the targets ``y``."""
+        a = Tensor(actions)
+        yt = Tensor(y.astype(np.float32))
+        return ad.reduce_mean(ad.square(self.q1(z, a) - yt)) + \
+            ad.reduce_mean(ad.square(self.q2(z, a) - yt))
 
     def update_actor_and_alpha(self, z_detached: np.ndarray,
                                rng: np.random.Generator) -> tuple[float, float]:
@@ -163,9 +147,9 @@ class SacAgent:
         z = Tensor(z_detached)
         eps = rng.standard_normal((z_detached.shape[0], self.action_dim))
         a, logp = self.actor.sample(z, eps)
-        q = ad.minimum(self.q1(z, a), self.q2(z, a))
+        # the critics are constants here: only the action's gradient is needed
+        q = ad.minimum(self.q1(z, a, frozen=True), self.q2(z, a, frozen=True))
         actor_loss = ad.reduce_mean(self.alpha * logp - q)
-        # the loss reaches the critic too; minimize clears its gradients unused
         if not self.actor_opt.minimize(actor_loss):
             log.warning("%s: actor update skipped: non-finite gradient", self.name)
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamGroup, Tensor, no_grad
 from .config import ExperimentConfig
-from .layers import Conv3x3, ConvTranspose3x3, Dense, LayerNorm, merge_params
+from .layers import LAYER_NORM_EPS, Conv3x3, ConvTranspose3x3, Dense, LayerNorm, merge_params
 
 log = logging.getLogger(__name__)
 
@@ -66,9 +66,9 @@ class Encoder:
         with no_grad() if detach else contextlib.nullcontext():
             h = obs
             for conv in self.convs:
-                h = ad.relu(conv(h))
-            h = ad.reshape(h, (h.shape[0], -1))
-            return ad.tanh(self.ln(self.fc(h)))
+                h = conv(h, relu=True)
+            return ad.dense_ln_tanh(h, self.fc.w, self.fc.b, self.ln.g, self.ln.b,
+                                    LAYER_NORM_EPS)
 
     def params(self):
         return merge_params(*self.convs, self.fc, self.ln)
@@ -91,10 +91,10 @@ class Decoder:
         ]
 
     def __call__(self, z: Tensor) -> Tensor:
-        h = ad.relu(self.fc(z))
+        h = self.fc(z, relu=True)
         h = ad.reshape(h, (h.shape[0], NUM_FILTERS, self.feat, self.feat))
         for conv in self.convs[:-1]:
-            h = ad.relu(conv(h))
+            h = conv(h, relu=True)
         return self.convs[-1](h)
 
     def params(self):
@@ -125,29 +125,29 @@ class SrlModel:
             self.key = ParamGroup("key_encoder", self.key_encoder.params(), requires_grad=False)
             self.key.set(self.online.data.copy())
             head_group = ParamGroup("bilinear", {"bilinear.W": self.bilinear})
-        self.loss = self.rae_loss if head == "rae" else self.infonce_loss
+        # the per-sample error needs no weight penalty, which only rae_loss adds
+        self.loss, self._errors = (self.rae_loss, self._rae_errors) if head == "rae" \
+            else (self.infonce_loss, self.infonce_loss)
         self.opt = ad.Adam([self.online, head_group], lr=self.cfg.lr)
         self.groups = self.opt.groups + ([self.key] if self.key_encoder else [])
 
     # -- losses ----------------------------------------------------------
     def rae_loss(self, obs: np.ndarray, z: Tensor | None = None):
-        """Returns (scalar loss Tensor, per-sample errors ndarray); ``z`` is the
-        latent of ``obs`` at the current encoder parameters, if already encoded."""
+        """Returns (scalar loss Tensor, per-sample errors ndarray): the mean
+        error plus the decoder weight penalty. ``z`` is the latent of ``obs``
+        at the current encoder parameters, if already encoded."""
+        loss, errors = self._rae_errors(obs, z)
+        if self.cfg.lambda_theta > 0.0:
+            loss = loss + ad.sum_squares(self.decoder.params().values()) * self.cfg.lambda_theta
+        return loss, errors
+
+    def _rae_errors(self, obs: np.ndarray, z: Tensor | None = None):
+        """``rae_loss`` without the weight penalty."""
         t = Tensor(obs)
         if z is None:
             z = self.encoder(t)
-        recon = self.decoder(z)
-        mse = ad.reduce_mean(ad.square(recon - t), axis=(1, 2, 3))
-        z_pen = ad.reduce_sum(ad.square(z), axis=1) * self.cfg.lambda_z
-        per_sample = mse + z_pen
-        loss = ad.reduce_mean(per_sample)
-        if self.cfg.lambda_theta > 0.0:
-            wd = None
-            for p in self.decoder.params().values():
-                term = ad.reduce_sum(ad.square(p))
-                wd = term if wd is None else wd + term
-            loss = loss + wd * self.cfg.lambda_theta
-        return loss, per_sample.data.copy()
+        per_sample = ad.rae_error(self.decoder(z), t, z, self.cfg.lambda_z)
+        return ad.reduce_mean(per_sample), per_sample.data.copy()
 
     def infonce_loss(self, anchor: np.ndarray, positive: np.ndarray):
         """Returns (scalar loss Tensor, per-sample errors ndarray)."""
@@ -167,7 +167,7 @@ class SrlModel:
     def srl_error(self, *args) -> np.ndarray:
         """Per-sample error of the active head on its loss arguments; pure evaluation."""
         with no_grad():
-            return self.loss(*args)[1]
+            return self._errors(*args)[1]
 
     def update(self, *args) -> np.ndarray:
         """One gradient step on the active loss; returns PRE-step errors. A step

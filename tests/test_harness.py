@@ -1,6 +1,7 @@
 """Experiment harness: config, metrics, checkpoints, plotting, CLI, trainer."""
 
 import glob
+import importlib.util
 import itertools
 import os
 import shlex
@@ -940,6 +941,44 @@ class TestCompareRuns:
         assert "columns only in B: spread" in out.stdout
         assert "only in A" not in out.stdout
         assert "rows differ" not in out.stdout and "first differing row" not in out.stdout
+
+    def test_against_a_revision(self, tmp_path, monkeypatch, capsys):
+        """``--against REV`` on a one-run set: a revision equal to the working
+        tree gives identical runs, and one changed default in the working tree
+        gives a difference."""
+        spec = importlib.util.spec_from_file_location("compare_runs", self.SCRIPT)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        repo = tmp_path / "repo"
+        for d in ("src", "configs"):
+            shutil.copytree(os.path.join(REPO, d), repo / d,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        git = ["git", "-C", str(repo), "-c", "user.name=test", "-c", "user.email=test@example.com"]
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "tree"]):
+            subprocess.run(git + args, check=True, capture_output=True)
+        sets = ("init_steps=10", "batch_size=8", "hidden_dim=32", "render_size=20",
+                "crop_size=16", "horizon=40", "srl.z_dim=16", "replay.capacity=200",
+                "eval.interval=20", "eval.episodes=1")
+        monkeypatch.setattr(tool, "ROOT", str(repo))
+        monkeypatch.setattr(tool, "JOBS", [("tiny", (
+            "train", "--task", "point_reacher", "--steps", "30",
+            *(a for s in sets for a in ("--set", s))))])
+
+        assert tool.main(["--against", "HEAD"]) == 0
+        out = capsys.readouterr().out
+        assert "tiny: identical" in out and "metrics.csv: identical" in out
+        assert "arrays, 0 differ;" in out and "config hash same" in out
+
+        config = repo / "src" / "cure_rl" / "config.py"
+        source = config.read_text()
+        assert "lambda_z: float = 1e-6" in source
+        config.write_text(source.replace("lambda_z: float = 1e-6", "lambda_z: float = 1e-3"))
+        assert tool.main(["--against", "HEAD"]) == 1
+        out = capsys.readouterr().out
+        assert "tiny: differs" in out and "metrics.csv: differs" in out
+        assert "config hash differs" in out
+        assert subprocess.run(git + ["status", "--porcelain"], capture_output=True,
+                              text=True).stdout.split() == ["M", "src/cure_rl/config.py"]
 
     def test_unloadable_checkpoint_reported_as_difference(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

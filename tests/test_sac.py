@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import cure_rl.autodiff as ad
-from cure_rl.autodiff import Tensor
+from cure_rl.autodiff import LOG_2PI, Tensor
 from cure_rl.config import ExperimentConfig, SrlConfig
-from cure_rl.sac import LOG_2PI, GaussianActor, QFunction, SacAgent
+from cure_rl.sac import GaussianActor, QFunction, SacAgent
 from cure_rl.srl import Encoder
 
 Z = 8
@@ -62,11 +62,10 @@ class TestActor:
         z = Tensor(rng.standard_normal((5, Z)).astype(np.float32))
         eps = rng.standard_normal((5, ACT))
         a, logp = actor.sample(z, eps)
-        with ad.no_grad():
-            mu, log_std = actor.dist_params(z)
-        std = np.exp(log_std.data)
-        u = mu.data + std * eps.astype(np.float32)
-        gauss = np.sum(-0.5 * ((u - mu.data) / std) ** 2 - log_std.data
+        mu, log_std = actor.dist_params(z)
+        std = np.exp(log_std)
+        u = mu + std * eps.astype(np.float32)
+        gauss = np.sum(-0.5 * ((u - mu) / std) ** 2 - log_std
                        - 0.5 * LOG_2PI, axis=1)
         corr = np.sum(2.0 * (np.log(2.0) - u - np.logaddexp(0.0, -2.0 * u)), axis=1)
         np.testing.assert_allclose(logp.data, gauss - corr, rtol=1e-4)
@@ -82,9 +81,8 @@ class TestActor:
     def test_log_std_clipped(self):
         actor = make_actor()
         actor.l3.b.data[ACT:] = 100.0
-        with ad.no_grad():
-            _, log_std = actor.dist_params(Tensor(np.zeros((1, Z), dtype=np.float32)))
-        assert np.all(log_std.data <= 2.0)
+        _, log_std = actor.dist_params(Tensor(np.zeros((1, Z), dtype=np.float32)))
+        assert np.all(log_std <= 2.0)
 
     def test_deterministic_act_is_tanh_mu(self):
         ag = agent()
@@ -94,7 +92,7 @@ class TestActor:
         with ad.no_grad():
             z = enc(Tensor(obs[None]))
             mu, _ = ag.actor.dist_params(z)
-        np.testing.assert_allclose(a, np.tanh(mu.data[0]), rtol=1e-6)
+        np.testing.assert_allclose(a, np.tanh(mu[0]), rtol=1e-6)
 
 
 class TestCriticAndTargets:
@@ -188,6 +186,15 @@ class TestActorAlpha:
         aloss, alloss = ag.update_actor_and_alpha(z, np.random.default_rng(1))
         assert np.isfinite(aloss) and np.isfinite(alloss)
         np.testing.assert_array_equal(ag.q1.l1.w.data, q_before)
+
+    def test_actor_loss_computes_no_critic_gradient(self):
+        ag = agent(3)
+        losses = []
+        ag.actor_opt.minimize = lambda loss: losses.append(loss) or True
+        z = np.random.default_rng(0).standard_normal((8, Z)).astype(np.float32)
+        ag.update_actor_and_alpha(z, np.random.default_rng(1))
+        written = {id(p) for p in losses[0].backward()}
+        assert written == {id(p) for p in ag.actor.params().values()}
 
     def test_infinite_latent_skips_the_actor_and_alpha_steps(self, caplog):
         ag = agent(3)
