@@ -19,9 +19,11 @@ revision ``REV``. It exports ``REV``'s ``src`` and ``configs`` with ``git
 archive REV | tar -x`` (nothing in ``.git`` changes), runs the canonical run
 set ``JOBS`` with each tree's own code and configs, at most ``WORKERS`` jobs at
 a time with one BLAS thread each, and prints one verdict per run (A is
-``REV``, B the working tree), then each run's per-file report. It exits 0
-only when every file of every run is identical. The runs go under a
-temporary directory that is deleted afterwards.
+``REV``, B the working tree), then each run's per-file report. A job is a
+sequence of commands run one after another in the same run directory (a run
+and then its ``train --resume``). It exits 0 only when every file of every
+run is identical. The runs go under a temporary directory that is deleted
+afterwards.
 """
 
 import argparse
@@ -164,13 +166,23 @@ def compare_dirs(dir_a: str, dir_b: str):
 WORKERS = 2
 THREADS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 # every train run: a 1200-step desk run whose updates start at step 600
-DESK = ("--seed", "0", "--steps", "1200", "--set", "init_steps=600",
+DESK = ("--seed", "0", "--set", "init_steps=600",
         "--set", "eval.interval=600", "--set", "eval.episodes=1")
 
 
-def _train(config: str, *sets: str) -> tuple:
-    return ("train", "--config", f"configs/{config}.txt", *DESK,
+def _train(config: str, *sets: str, steps: int = 1200) -> tuple:
+    return ("train", "--config", f"configs/{config}.txt", "--steps", str(steps), *DESK,
             *(a for s in sets for a in ("--set", s)))
+
+
+def _resumed(config: str, *sets: str) -> list:
+    """A run stopped at step 600, then resumed from its checkpoint to 1200
+    (the config hash leaves out ``steps``). Updates start at step 300 here,
+    so the resumed run starts from saved Adam moments; the contrastive head's
+    float64 groups come back float32 from the checkpoint and widen again."""
+    sets = sets + ("init_steps=300",)
+    return [_train(config, *sets, steps=600),
+            _train(config, *sets) + ("--resume", os.path.join("{out}", CHECKPOINT))]
 
 
 def _visitation(group: str) -> tuple:
@@ -181,18 +193,22 @@ def _visitation(group: str) -> tuple:
             "--cure-ckpt", ckpt("cure"), "--episodes", "2")
 
 
-# (run name, cure-rl arguments); ``{root}`` is the directory holding one
-# tree's runs. A visitation run reads runs listed before it.
+# (run name, [cure-rl arguments, ...]); ``{root}`` is the directory holding
+# one tree's runs and ``{out}`` the job's own. A visitation run reads runs
+# listed before it.
 JOBS = [
-    ("reacher_hard/rae", _train("desk_reacher_hard")),
-    ("reacher_hard/contrastive", _train("desk_reacher_hard", "srl.head=contrastive")),
-    ("reacher_hard/no_cure", _train("desk_reacher_hard", "cure.enabled=false")),
-    ("reacher_hard/mode_cure", _train("desk_reacher_hard", "mode=cure")),
+    ("reacher_hard/rae", [_train("desk_reacher_hard")]),
+    ("reacher_hard/contrastive", [_train("desk_reacher_hard", "srl.head=contrastive")]),
+    ("reacher_hard/no_cure", [_train("desk_reacher_hard", "cure.enabled=false")]),
+    ("reacher_hard/mode_cure", [_train("desk_reacher_hard", "mode=cure")]),
     ("reacher_hard/pretrain_cure",
-     _train("desk_reacher_hard", "pretrain.mode=cure", "pretrain.steps=700")),
+     [_train("desk_reacher_hard", "pretrain.mode=cure", "pretrain.steps=700")]),
     ("reacher_hard/pretrain_random",
-     _train("desk_reacher_hard", "pretrain.mode=random", "pretrain.steps=700")),
-] + [(f"point_reacher_{head}/{run}", args) for head in ("rae", "contrastive") for run, args in (
+     [_train("desk_reacher_hard", "pretrain.mode=random", "pretrain.steps=700")]),
+    ("reacher_hard/rae_resumed", _resumed("desk_reacher_hard")),
+    ("reacher_hard/contrastive_resumed", _resumed("desk_reacher_hard", "srl.head=contrastive")),
+] + [(f"point_reacher_{head}/{run}", [args]) for head in ("rae", "contrastive")
+     for run, args in (
     ("task", _train("desk_point_reacher", f"srl.head={head}", "cure.enabled=false")),
     ("cure", _train("desk_point_reacher", f"srl.head={head}", "mode=cure")),
     ("mixed", _train("desk_point_reacher", f"srl.head={head}")),
@@ -210,12 +226,17 @@ def export(rev: str, dest: str):
         raise SystemExit(f"compare_runs: cannot export {rev!r} with git archive")
 
 
-def run_job(tree: str, root: str, name: str, args: tuple):
-    """Runs one job of ``JOBS`` with ``tree``'s code; returns (exit code, stderr)."""
-    args = tuple(a.format(root=root) for a in args)
-    cmd = [sys.executable, "-m", "cure_rl.cli", *args, "--out", os.path.join(root, name)]
+def run_job(tree: str, root: str, name: str, commands: list):
+    """Runs the commands of one job of ``JOBS`` in turn with ``tree``'s code,
+    up to the first that fails; returns (exit code, stderr) of the last run."""
+    out = os.path.join(root, name)
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **THREADS)
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    for args in commands:
+        args = tuple(a.format(root=root, out=out) for a in args)
+        cmd = [sys.executable, "-m", "cure_rl.cli", *args, "--out", out]
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+        if proc.returncode:
+            break
     return proc.returncode, proc.stderr
 
 
@@ -228,16 +249,17 @@ def against(rev: str, work: str) -> tuple:
     results = {}
     # a visitation job starts once every train job before it has finished
     batches, batch = [], []
-    for name, args in JOBS:
-        if args[0] != "train" and batch:
+    for name, commands in JOBS:
+        if commands[0][0] != "train" and batch:
             batches.append(batch)
             batch = []
-        batch.append((name, args))
+        batch.append((name, commands))
     batches.append(batch)
     with ThreadPoolExecutor(WORKERS) as pool:
         for batch in batches:
-            futures = {(side, name): pool.submit(run_job, trees[side], roots[side], name, args)
-                       for name, args in batch for side in trees}
+            futures = {(side, name): pool.submit(run_job, trees[side], roots[side], name,
+                                                 commands)
+                       for name, commands in batch for side in trees}
             results.update((key, f.result()) for key, f in futures.items())
     identical, verdicts, report = True, [], []
     for name, _ in JOBS:

@@ -11,6 +11,15 @@ returns ``False``, and the caller says so.
 Storage defaults to float32; float64 inputs are preserved so finite-difference
 oracles can run at full precision.
 
+The hot path writes into arrays it already owns: ``Adam.step`` updates its
+moments in place, the Polyak and EMA averages their target buffers, and the
+layer ops add their bias and apply their relu mask on the fresh GEMM or
+scatter output. One rule
+keeps the bits of the out-of-place expressions in every dtype combination
+(``_into``): a buffer is scaled in its own dtype, widened exactly
+(``astype``) only when the term added to it is wider, and then the term is
+added in place.
+
 Module-level ops make one tape node of a whole module: conv + bias + relu
 (``conv2d``, ``conv_transpose2d``), dense + relu (``dense``), a relu MLP on
 concatenated inputs (``mlp``), the encoder's dense + LayerNorm + tanh head
@@ -18,7 +27,8 @@ concatenated inputs (``mlp``), the encoder's dense + LayerNorm + tanh head
 log-density (``squashed_gaussian``, split by ``Tensor.split``), the per-sample
 autoencoder error (``rae_error``) and the weight penalty (``sum_squares``).
 Each runs the numpy expressions of the op chain it replaced, with the same
-dtypes, operand order and memory layouts, so results keep every bit. Where
+dtypes and operand order, and the same memory layout wherever a reduction's
+summation order depends on it, so results keep every bit. Where
 that chain's tape summed three or more gradient terms into one tensor, the
 fused backward adds them in the order the tape did: floating-point addition
 commutes but does not associate. The generic ops stay for the losses, for
@@ -170,7 +180,7 @@ class Tensor:
         ends = np.cumsum(sizes)
         if ends[-1] != self.shape[-1]:
             raise ValueError(f"split: sizes {list(sizes)} do not add up to {self.shape[-1]}")
-        pieces = np.split(self.data, ends[:-1], axis=-1)
+        pieces = [self.data[..., end - size:end] for size, end in zip(sizes, ends)]
 
         def gather(parts):
             return (np.concatenate([np.zeros_like(p) if g is None else g
@@ -228,6 +238,36 @@ def _make(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> 
         out.requires_grad = True
         out.node = _Node(tuple(inputs), backward_fn)
     return out
+
+
+def _into(buf: np.ndarray, term, op=np.add) -> np.ndarray:
+    """``op(buf, term)`` with the bits numpy gives it out of place, written
+    into ``buf``; returns the array holding it. ``buf`` is first widened
+    exactly (``astype``) when ``term`` is wider, so that array is new only
+    then."""
+    wide = np.result_type(buf, term)
+    if wide != buf.dtype:
+        buf = buf.astype(wide)
+    return op(buf, term, out=buf)
+
+
+def _broadcast(x: np.ndarray, shape) -> np.ndarray:
+    """A new array of ``shape`` filled from ``x`` by broadcasting."""
+    out = np.empty(shape, x.dtype)
+    out[...] = x
+    return out
+
+
+def _mean(x: np.ndarray, axes=None, keepdims: bool = False):
+    """``x.mean(axes, keepdims)`` of a float array (``axes`` a tuple of
+    non-negative axes, or ``None``): the method's own two numpy calls,
+    without its Python-level wrapper."""
+    total = np.add.reduce(x, axis=axes, keepdims=keepdims)
+    # an np.intp count, as the method's: float32 sums are divided in float64
+    count = np.intp(x.size if axes is None else math.prod(x.shape[ax] for ax in axes))
+    if isinstance(total, np.ndarray):
+        return np.true_divide(total, count, out=total, casting="unsafe")
+    return total.dtype.type(total / count)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -295,19 +335,25 @@ def _check_dense(op, x_shape, w, b):
         raise ValueError(f"{op}: bias shape {b.shape} != ({w.shape[1]},)")
 
 
-def _relu(y: np.ndarray):
-    """(relu(y), mask) as the ``relu`` op computes them."""
+def _epilogue(y: np.ndarray, b: Optional[np.ndarray], relu: bool):
+    """``relu(y + b)`` (without the bias if ``b`` is ``None``, without the
+    relu if not ``relu``) as the ``add`` and ``relu`` ops compute it, written
+    into the fresh array ``y`` unless ``b`` is wider. ``b`` broadcasts against
+    ``y``'s last axis. Returns the result and the relu mask (``None`` without
+    relu)."""
+    if b is not None:
+        y = _into(y, b)
+    if not relu:
+        return y, None
     mask = y > 0
-    return y * mask, mask
+    return np.multiply(y, mask, out=y), mask
 
 
 def dense(x, w, b, relu: bool = False) -> Tensor:
     """Affine map x @ w + b with broadcast bias, through a relu if ``relu``."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     _check_dense("dense", x.shape, w, b)
-    y = x.data @ w.data + b.data
-    if relu:
-        y, mask = _relu(y)
+    y, mask = _epilogue(x.data @ w.data, b.data, relu)
 
     def backward(g):
         if relu:
@@ -336,10 +382,8 @@ def mlp(inputs, params) -> Tensor:
     for i, (w, b) in enumerate(layers):
         _check_dense("mlp", h.shape, w, b)
         acts.append(h)
-        h = h @ w.data + b.data
-        if i < len(layers) - 1:
-            h, mask = _relu(h)
-            masks.append(mask)
+        h, mask = _epilogue(h @ w.data, b.data, i < len(layers) - 1)
+        masks.append(mask)
 
     def backward(g):
         grads = []
@@ -469,34 +513,26 @@ def _check_axis(axis, ndim):
     return tuple(ax % ndim for ax in axes)
 
 
+def _kept(shape, axes) -> tuple:
+    """``shape`` with each of ``axes`` (``None``: every axis) set to 1."""
+    return tuple(1 if axes is None or i in axes else s for i, s in enumerate(shape))
+
+
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     axes = _check_axis(axis, a.ndim)
     shape = a.shape
-
-    def backward(g):
-        if axes is not None and not keepdims:
-            g = np.expand_dims(g, axis=axes)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), backward)
+    return _make(a.data.sum(axis=axes, keepdims=keepdims), (a,),
+                 lambda g: (_broadcast(g.reshape(_kept(shape, axes)), shape),))
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     axes = _check_axis(axis, a.ndim)
     shape = a.shape
-    if axes is None:
-        count = a.size
-    else:
-        count = int(np.prod([shape[ax] for ax in axes]))
-
-    def backward(g):
-        if axes is not None and not keepdims:
-            g = np.expand_dims(g, axis=axes)
-        return (np.broadcast_to(g / count, shape).copy(),)
-
-    return _make(a.data.mean(axis=axes, keepdims=keepdims), (a,), backward)
+    count = a.size if axes is None else math.prod(shape[ax] for ax in axes)
+    return _make(_mean(a.data, axes, keepdims), (a,),
+                 lambda g: (_broadcast(g.reshape(_kept(shape, axes)) / count, shape),))
 
 
 # -- convolutions (3x3 kernels, valid padding) ---------------------------
@@ -507,23 +543,43 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # layout, so the next conv's transpose to NHWC copies nothing.
 
 def _nhwc(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+    """``a``'s values as a C-contiguous NHWC array (``a`` itself underneath
+    when it is an NCHW view of one)."""
+    t = a.transpose(0, 2, 3, 1)
+    if t.flags.c_contiguous or a.shape[1] > 4:
+        return np.ascontiguousarray(t)
+    # a whole-array transpose copy would run over the short channel axis;
+    # one copy per channel (the frames, deconv4's gradient) is about 4x
+    # faster for 3 channels
+    out = np.empty(t.shape, a.dtype)
+    for c in range(a.shape[1]):
+        out[..., c] = a[:, c]
+    return out
 
 
 def _im2col(xh: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
-    """(N, H, W, C) -> (N*ho*wo, 9C) rows of 3x3 windows, channels fastest."""
+    """(N, H, W, C) -> (N*ho*wo, 9C) rows of 3x3 windows, channels fastest.
+    ``xh`` is C-contiguous (``_nhwc``); the ``ndarray`` constructor checks
+    that the window view stays inside it."""
     n, _, _, c = xh.shape
     s0, s1, s2, s3 = xh.strides
-    win = np.lib.stride_tricks.as_strided(
-        xh, (n, ho, wo, 3, 3, c), (s0, s1 * stride, s2 * stride, s1, s2, s3))
+    win = np.ndarray((n, ho, wo, 3, 3, c), xh.dtype, xh, 0,
+                     (s0, s1 * stride, s2 * stride, s1, s2, s3))
     return win.reshape(n * ho * wo, 9 * c)
 
 
 def _scatter(xh: np.ndarray, kmat: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
     """(N, H, W, F) -> (N, ho, wo, C): adds xh @ tap (u, v) of kmat at its offset."""
     n, h, w, f = xh.shape
-    taps = np.ascontiguousarray(kmat.reshape(f, 3, 3, -1).transpose(1, 2, 0, 3))
     rows = xh.reshape(n * h * w, f)
+    if h == w == 1 and ho == wo == 3:
+        # the nine taps of a single input position never overlap: one GEMM
+        # lays them out in (u, v, c) order. Adding 0.0, as the zero
+        # accumulator below does, turns a -0.0 into 0.0.
+        out = (rows @ kmat).reshape(n, 3, 3, -1)
+        out += 0.0
+        return out
+    taps = np.ascontiguousarray(kmat.reshape(f, 3, 3, -1).transpose(1, 2, 0, 3))
     acc = np.zeros((n, ho, wo, taps.shape[3]), dtype=np.result_type(xh, kmat))
     for u in range(3):
         for v in range(3):
@@ -532,21 +588,28 @@ def _scatter(xh: np.ndarray, kmat: np.ndarray, stride: int, ho: int, wo: int) ->
     return acc
 
 
-def _bias_relu(op, y: np.ndarray, b, relu: bool):
-    """``y`` plus the per-channel bias ``b`` (if given), through a relu (if
-    ``relu``), as ``y + reshape(b, (1, -1, 1, 1))`` and ``relu`` compute it.
-    Returns the result and the relu mask (``None`` without relu)."""
+def _conv_epilogue(op, yh: np.ndarray, b, relu: bool):
+    """The NCHW result of a conv whose fresh NHWC output is ``yh``, plus the
+    per-channel bias ``b`` (if given), through a relu (if ``relu``), as
+    ``y + reshape(b, (1, -1, 1, 1))`` and ``relu`` compute it. Returns the
+    result and the relu mask (``None`` without relu), both NCHW views."""
+    n, ho, wo, f = yh.shape
+    row = None
     if b is not None:
-        if b.shape != (y.shape[1],):
-            raise ValueError(f"{op}: bias shape {b.shape} != ({y.shape[1]},)")
-        y = y + b.data.reshape((1, -1, 1, 1))
-    if not relu:
-        return y, None
-    return _relu(y)
+        if b.shape != (f,):
+            raise ValueError(f"{op}: bias shape {b.shape} != ({f},)")
+        # the bias of one image row, so the add runs over wo * f contiguous
+        # values rather than over a short channel axis (3 in deconv4)
+        row = np.empty((wo, f), b.dtype)
+        row[...] = b.data
+        row = row.reshape(-1)
+    y, mask = _epilogue(yh.reshape(n * ho, wo * f), row, relu)
+    return (y.reshape(n, ho, wo, f).transpose(0, 3, 1, 2),
+            None if mask is None else mask.reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
 
 
-def _bias_relu_grad(g: np.ndarray, b, mask):
-    """Backward of ``_bias_relu``: (gradient of ``y``, gradient of ``b``)."""
+def _conv_epilogue_grad(g: np.ndarray, b, mask):
+    """Backward of ``_conv_epilogue``: (gradient of ``y``, gradient of ``b``)."""
     if mask is not None:
         g = g * mask
     gb = None
@@ -579,11 +642,10 @@ def conv2d(x, k, stride: int = 1, b=None, relu: bool = False) -> Tensor:
 
     cols = _im2col(_nhwc(x.data), stride, ho, wo)
     kmat = k.data.transpose(0, 2, 3, 1).reshape(f, 9 * c)
-    out, mask = _bias_relu("conv2d", (cols @ kmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2),
-                           b, relu)
+    out, mask = _conv_epilogue("conv2d", (cols @ kmat.T).reshape(n, ho, wo, f), b, relu)
 
     def backward(g):
-        g, gb = _bias_relu_grad(g, b, mask)
+        g, gb = _conv_epilogue_grad(g, b, mask)
         gh = _nhwc(g)
         gk = (gh.reshape(-1, f).T @ cols).reshape(f, 3, 3, c).transpose(0, 3, 1, 2) \
             if k.requires_grad else None
@@ -618,11 +680,10 @@ def conv_transpose2d(x, k, stride: int = 1, output_padding: int = 0, b=None,
 
     xh = _nhwc(x.data)
     kmat = k.data.transpose(0, 2, 3, 1).reshape(f, 9 * c)
-    out, mask = _bias_relu("conv_transpose2d",
-                           _scatter(xh, kmat, stride, ho, wo).transpose(0, 3, 1, 2), b, relu)
+    out, mask = _conv_epilogue("conv_transpose2d", _scatter(xh, kmat, stride, ho, wo), b, relu)
 
     def backward(g):
-        g, gb = _bias_relu_grad(g, b, mask)
+        g, gb = _conv_epilogue_grad(g, b, mask)
         gcols = _im2col(_nhwc(g), stride, h, w)
         gk = (xh.reshape(-1, f).T @ gcols).reshape(f, 3, 3, c).transpose(0, 3, 1, 2) \
             if k.requires_grad else None
@@ -644,18 +705,20 @@ def _layer_norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
     the output and its backward, ``g -> (gx, ggain, gbias)``."""
     axes = (x.ndim - 1,)
     count = x.shape[-1]
-    mu = x.mean(axis=axes, keepdims=True)
+    mu = _mean(x, axes, keepdims=True)
     centered = x - mu
-    sd = np.sqrt((centered * centered).mean(axis=axes, keepdims=True) + np.float32(eps))
+    sd = np.sqrt(_mean(centered * centered, axes, keepdims=True) + np.float32(eps))
     inv = 1.0 / sd
     normed = centered * inv
 
     def backward(g):
         gn = g * gain.data
         gsd = _unbroadcast(-gn * centered * inv * inv, sd.shape)
-        gvar = np.broadcast_to(gsd / (2.0 * sd) / count, x.shape)
+        # broadcasting copies the (N, 1) terms along rows; each element
+        # goes through the same roundings as from an expanded copy
+        gvar = gsd / (2.0 * sd) / count
         gc = gn * inv + gvar * 2.0 * centered
-        gx = gc + np.broadcast_to(_unbroadcast(-gc, mu.shape) / count, x.shape)
+        gx = gc + _unbroadcast(-gc, mu.shape) / count
         return (gx,
                 _unbroadcast(g * normed, gain.shape) if gain.requires_grad else None,
                 _unbroadcast(g, bias.shape) if bias.requires_grad else None)
@@ -711,7 +774,7 @@ def squashed_gaussian(params, eps, log_std_min: float, log_std_max: float) -> Te
                          f"and eps of shape (N, width / 2), got {eps.shape}")
     mean, raw = params.data[:, :act], params.data[:, act:]
     inside = (raw > log_std_min) & (raw < log_std_max)
-    log_std = np.clip(raw, log_std_min, log_std_max)
+    log_std = np.minimum(np.maximum(raw, log_std_min), log_std_max)   # np.clip, unwrapped
     std = np.exp(log_std)
     u = mean + std * eps
     a = np.tanh(u)
@@ -725,14 +788,14 @@ def squashed_gaussian(params, eps, log_std_min: float, log_std_max: float) -> Te
 
     def backward(g):
         ga, gl = g[:, :act], g[:, act:]
-        gr = np.broadcast_to(gl, u.shape) * np.float32(-0.5) * 2.0 * r
+        gr = gl * np.float32(-0.5) * 2.0 * r
         gd = gr * inv
-        # of ln 2 - u - softplus(-2 u), and of -2 u
-        gc = np.broadcast_to(-gl, u.shape) * np.float32(2.0)
+        # of ln 2 - u - softplus(-2 u), and of -2 u; (N, 1) until gu
+        gc = -gl * np.float32(2.0)
         gm2u = (-gc) * (0.5 * (1.0 + np.tanh(0.5 * m2u)))
         gu = gd + (-gc) + gm2u * np.float32(-2.0) + ga * (1.0 - a * a)
         gstd = gu * eps + (-gr * d * inv * inv)
-        glog_std = (gstd * std + (-np.broadcast_to(gl, u.shape))) * inside
+        glog_std = (gstd * std + (-gl)) * inside
         # the chain summed the zero-padded gradients of its two narrows:
         # adding 0.0 turns a -0.0 into 0.0 as that sum did
         return (np.concatenate([gu + (-gd), glog_std], axis=1) + 0.0,)
@@ -749,15 +812,15 @@ def rae_error(recon, target, z, lambda_z: float) -> Tensor:
         raise ValueError(f"rae_error: recon {recon.shape}, target {target.shape} and "
                          f"latent {z.shape} do not match")
     axes = tuple(range(1, recon.ndim))
-    count = int(np.prod(recon.shape[1:]))
+    count = math.prod(recon.shape[1:])
     lam = np.float32(lambda_z)
     diff = recon.data - target.data
-    errors = (diff * diff).mean(axis=axes) + (z.data * z.data).sum(axis=(1,)) * lam
+    errors = _mean(diff * diff, axes) + (z.data * z.data).sum(axis=(1,)) * lam
+    kept = _kept(recon.shape, axes)
 
     def backward(g):
-        grecon = np.broadcast_to(np.expand_dims(g, axis=axes) / count, recon.shape).copy() \
-            * 2.0 * diff
-        gz = np.broadcast_to(np.expand_dims(g * lam, axis=(1,)), z.shape).copy() * 2.0 * z.data
+        grecon = g.reshape(kept) / count * 2.0 * diff
+        gz = (g * lam).reshape(-1, 1) * 2.0 * z.data
         return (grecon if recon.requires_grad else None,
                 -grecon if target.requires_grad else None,
                 gz if z.requires_grad else None)
@@ -774,7 +837,7 @@ def sum_squares(tensors) -> Tensor:
         term = (t.data * t.data).sum(axis=None)
         total = term if total is None else total + term
     return _make(total, tensors, lambda g: tuple(
-        np.broadcast_to(g, t.shape) * 2.0 * t.data if t.requires_grad else None
+        g * 2.0 * t.data if t.requires_grad else None
         for t in tensors))
 
 
@@ -814,10 +877,13 @@ def log_softmax_cross_entropy(logits, target_index) -> Tensor:
 class ParamGroup:
     """Named parameter tensors whose values are views of one flat buffer.
 
-    Parameter values change only through ``set``, which replaces the buffer
-    and rebinds every tensor's ``.data`` to a view of the new one. Nothing is
-    written into a buffer in place, so an update keeps the dtype its
-    arithmetic gives (float64 when an operand is float64).
+    ``set`` replaces the buffer and rebinds every tensor's ``.data`` to a
+    view of the new one; ``Adam.step`` and loading use it. A Polyak or EMA
+    average (``average``) writes into the buffer in place instead. It keeps
+    the dtype its out-of-place arithmetic would give by one rule (``_into``):
+    the buffer is scaled in its own dtype, widened exactly only when the term
+    added to it is wider (float64 into float32), and the term is then added
+    in place.
     """
 
     def __init__(self, name: str, params: dict, requires_grad: bool = True):
@@ -829,6 +895,7 @@ class ParamGroup:
         self.set(self.data)
 
     def set(self, flat: np.ndarray):
+        """Make ``flat`` the buffer and rebind every tensor to a view of it."""
         if flat.shape != self.data.shape:
             raise ValueError(f"group {self.name}: {flat.shape} values, expected {self.data.shape}")
         self.data = flat
@@ -836,6 +903,14 @@ class ParamGroup:
         for p in self.params.values():
             p.data = flat[i:i + p.size].reshape(p.shape)
             i += p.size
+
+    def average(self, keep: float, other: np.ndarray, weight: float):
+        """Move the buffer to ``keep * buffer + weight * other`` in place (by
+        the rule above), with the bits of that expression in either order."""
+        self.data *= keep
+        data = _into(self.data, weight * other)
+        if data is not self.data:
+            self.set(data)
 
 
 class AdamState:
@@ -852,7 +927,18 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam over parameter groups; ``params`` maps every name to its tensor."""
+    """Standard Adam over parameter groups; ``params`` maps every name to its tensor.
+
+    ``step`` updates each group's moments ``m`` and ``v`` in place, with the
+    bits of the out-of-place ``b1 * m + (1 - b1) * g`` by the widening rule
+    of ``ParamGroup``: a float32 moment becomes float64 only when a float64
+    gradient reaches it. The parameters go to a new buffer,
+    ``data - lr * m_hat / (sqrt(v_hat) + eps)``. Written in place too, they
+    would leave no array allocated in an update step that outlives it; glibc's
+    malloc then returns the top of its heap to the system after each desk
+    update step and faults it back in during the next (about 1,800 minor
+    page faults per step against 70), which costs more than the allocation.
+    """
 
     def __init__(self, groups, lr: float):
         self.groups = list(groups)
@@ -884,11 +970,18 @@ class Adam:
         c2 = 1.0 - ADAM_BETA2 ** self.t
         for group, g in zip(self.groups, grads):
             st = self.state[group.name]
-            st.m = ADAM_BETA1 * st.m + (1.0 - ADAM_BETA1) * g
-            st.v = ADAM_BETA2 * st.v + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = st.m / c1
-            v_hat = st.v / c2
-            group.set(group.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+            st.m *= ADAM_BETA1
+            st.m = _into(st.m, (1.0 - ADAM_BETA1) * g)
+            g *= g
+            g *= 1.0 - ADAM_BETA2
+            st.v *= ADAM_BETA2
+            st.v = _into(st.v, g)
+            step = st.m / c1                         # m_hat
+            step *= self.lr
+            den = st.v / c2                          # v_hat
+            den = np.sqrt(den, out=den)
+            den += ADAM_EPS
+            group.set(group.data - _into(step, den, np.divide))
         return True
 
     # checkpoint support: the step count and each group's moments
@@ -915,11 +1008,13 @@ def grad_check(f, tensors, h: float = 1e-5, sample: Optional[int] = None,
     max|analytic|, 1e-8)``. ``sample`` limits the probed elements per tensor
     (deterministic); ``None`` probes every element.
 
-    A probe where the analytic gradient changes across x-h..x+h sits on a
-    kink (relu, clip) where central differences are invalid, and is skipped;
-    a wrong gradient still fails at the smooth probes. At ``h=1e-3`` mere
-    curvature already looks like a kink, so keep ``h`` small. A tensor whose
-    every probe is skipped raises.
+    A probe where the analytic gradient jumps within x-h..x+h sits on a kink
+    (relu, clip) where central differences are invalid, and is skipped; a
+    wrong gradient still fails at the smooth probes. The test is the
+    symmetric second difference ``g(x+h) + g(x-h) - 2 g(x)``, relative to the
+    largest of the three: it is O(h^2) on a smooth function, however small
+    its gradient, and O(1) at a kink. Keep ``h`` small. A tensor whose every
+    probe is skipped raises.
     """
     originals = [t.data for t in tensors]
     for t in tensors:
@@ -957,8 +1052,10 @@ def grad_check(f, tensors, h: float = 1e-5, sample: Optional[int] = None,
                 (fp, gp), (fm, gm) = at(i, flat[i] + step), at(i, flat[i] - step)
                 fd[j] = (fp - fm) / (2.0 * step)
                 g0 = an_flat[i]
-                jump = max(abs(gp - g0), abs(gm - g0))
-                smooth[j] = jump <= 1e-4 * max(abs(gp), abs(gm), abs(g0), 1e-8)
+                # the symmetric second difference: O(h^2) where the function
+                # is smooth, O(1) where its gradient jumps inside the step
+                bend = abs(gp + gm - 2.0 * g0)
+                smooth[j] = bend <= 1e-4 * max(abs(gp), abs(gm), abs(g0), 1e-8)
             if not smooth.any():
                 raise ValueError(f"grad_check: every probe of tensor {k} sits on a kink")
             fd, an_probe = fd[smooth], an_flat[probe][smooth]

@@ -141,8 +141,16 @@ def gradient_suite(seed: int = 0) -> dict:
         return SrlModel(np.random.default_rng(seed + seed_offset), cfg)
 
     rae = srl_model("rae", 0)
+    # every unit of the decoder's first layer active for any latent in
+    # [-1, 1]: then data gradient reaches each row of deconv1's kernel, not
+    # only the weight penalty's ~1e-8, which central differences cannot resolve
+    fc = rae.decoder.fc
+    fc.b.data[...] = 1.0 + np.abs(fc.w.data).sum(axis=0)
+    # 16 probes: with 8, every probe of an encoder kernel could land on an
+    # element whose gradient (~1e-9, a dead relu's) central differences
+    # cannot resolve
     check("rae_loss", lambda: rae.rae_loss(batch)[0],
-          [t for t in rae.all_param_tensors().values() if t.requires_grad], sample=8)
+          [t for t in rae.all_param_tensors().values() if t.requires_grad], sample=16)
 
     con = srl_model("contrastive", 1)
     anchor = rng.uniform(0.0, 1.0, (3, 3, crop, crop)).astype(np.float32)

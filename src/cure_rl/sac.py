@@ -161,7 +161,7 @@ class SacAgent:
         return actor_loss.item(), alpha_loss.item()
 
     def polyak(self):
-        self.target.set(self.tau * self.critic.data + (1.0 - self.tau) * self.target.data)
+        self.target.average(1.0 - self.tau, self.critic.data, self.tau)
 
     # -- acting --------------------------------------------------------------
     def act(self, encoder, obs: np.ndarray, rng=None, deterministic: bool = False) -> np.ndarray:

@@ -181,7 +181,7 @@ class SrlModel:
 
     def ema_update_key(self):
         tau = self.cfg.key_tau
-        self.key.set((1.0 - tau) * self.key.data + tau * self.online.data)
+        self.key.average(1.0 - tau, self.online.data, tau)
 
     def all_param_tensors(self) -> dict:
         return {n: p for g in self.groups for n, p in g.params.items()}

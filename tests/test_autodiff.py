@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import cure_rl.autodiff as ad
 from cure_rl import diagnostics
 from cure_rl.autodiff import LN2, LOG_2PI, Adam, ParamGroup, Tensor, grad_check, no_grad
-from cure_rl.config import load_config
+from cure_rl.config import ExperimentConfig, SrlConfig, load_config
+from cure_rl.sac import SacAgent
+from cure_rl.srl import SrlModel
 from cure_rl.train import PHASES, Trainer
 
 
@@ -180,6 +182,23 @@ class TestGradCheck:
         x = t(np.zeros(4))   # relu's gradient jumps at every element
         with pytest.raises(ValueError, match="kink"):
             grad_check(lambda: ad.reduce_sum(ad.relu(x)), [x])
+
+    def test_small_gradient_of_a_quadratic_is_probed(self):
+        """A gradient of ~1e-8 (a weight penalty's) changes by 2e-4 of itself
+        over one step; its second difference is 0, so it is no kink."""
+        x = t([0.05, -0.03, 0.02])
+        assert grad_check(lambda: ad.reduce_sum(ad.square(x)) * 1e-7, [x]) < 1e-6
+
+    def test_probe_at_a_relu_kink_is_skipped(self):
+        # at 0, central differences give 0.5 but the gradient is 0 or 1
+        x = t([0.0, 0.5, -0.7])
+        assert grad_check(lambda: ad.reduce_sum(ad.relu(x)), [x]) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(1, 10))
+    def test_gradient_suite_at_every_seed(self, seed):
+        """``cure-rl gradcheck --seed S`` reports under 1e-4 for S in 0-9
+        (seed 0 is criterion 1)."""
+        assert max(diagnostics.gradient_suite(seed).values()) < 1e-4
 
 
 def _conv2d_loop(x, k, g, stride):
@@ -681,3 +700,196 @@ def test_ops_per_update_step_are_bounded():
     steps = np.diff(marks)
     assert len(steps) == 10
     assert steps.mean() <= 150, steps
+
+
+# -- in-place updates and helpers against the expressions they replaced ----
+# Each reference below is what the program computed before it wrote into
+# arrays it owns; the results must keep every bit, dtype included.
+
+def _adam_reference(data, m, v, grads, lr):
+    """The out-of-place Adam steps: (data, m, v) after each gradient."""
+    out = []
+    for step, g in enumerate(grads, 1):
+        c1 = 1.0 - ad.ADAM_BETA1 ** step
+        c2 = 1.0 - ad.ADAM_BETA2 ** step
+        m = ad.ADAM_BETA1 * m + (1.0 - ad.ADAM_BETA1) * g
+        v = ad.ADAM_BETA2 * v + (1.0 - ad.ADAM_BETA2) * (g * g)
+        m_hat = m / c1
+        v_hat = v / c2
+        data = data - lr * m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS)
+        out.append((data, m, v))
+    return out
+
+
+FLOATS = [np.float32, np.float64]
+
+
+@pytest.mark.parametrize("param_dtype", FLOATS, ids=["param32", "param64"])
+@pytest.mark.parametrize("grad_dtype", FLOATS, ids=["grad32", "grad64"])
+@pytest.mark.parametrize("moment_dtype", FLOATS, ids=["moment32", "moment64"])
+def test_adam_in_place_keeps_the_bits(moment_dtype, grad_dtype, param_dtype):
+    rng = np.random.default_rng(21)
+    shapes = [(3, 4), (5,)]
+    params = {f"p{i}": Tensor(rng.standard_normal(s).astype(param_dtype), requires_grad=True)
+              for i, s in enumerate(shapes)}
+    group = ParamGroup("g", params)
+    opt = Adam([group], lr=1e-2)
+    st = opt.state["g"]
+    st.m, st.v = (np.zeros(group.data.shape, moment_dtype) for _ in range(2))
+    grads = [[rng.standard_normal(s).astype(grad_dtype) for s in shapes] for _ in range(3)]
+    want = _adam_reference(group.data.copy(), st.m.copy(), st.v.copy(),
+                           [np.concatenate([g.reshape(-1) for g in gs]) for gs in grads], 1e-2)
+    for gs, (data, m, v) in zip(grads, want):
+        for p, g in zip(params.values(), gs):
+            p.grad = g
+        assert opt.step() is True
+        for got, ref in ((group.data, data), (st.m, m), (st.v, v)):
+            assert_same_bits(got, ref)
+        for p, piece in zip(params.values(), np.split(data, [12])):
+            assert_same_bits(p.data, piece.reshape(p.shape))
+
+
+def test_adam_writes_into_the_moments_it_owns():
+    """The moments are updated in place; the parameters go to a new buffer,
+    and every tensor is a view of it."""
+    rng = np.random.default_rng(22)
+    params = {"w": t(rng.standard_normal((4, 3))), "b": t(rng.standard_normal(3))}
+    group = ParamGroup("g", params)
+    opt = Adam([group], lr=1e-3)
+    st = opt.state["g"]
+    owned = (st.m, st.v)
+    for _ in range(2):
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        opt.step()
+    assert st.m is owned[0] and st.v is owned[1]
+    assert all(p.data.base is group.data for p in params.values())
+
+
+@pytest.mark.parametrize("target_dtype", FLOATS, ids=["target32", "target64"])
+@pytest.mark.parametrize("source_dtype", FLOATS, ids=["source32", "source64"])
+def test_average_matches_polyak_and_ema_expressions(target_dtype, source_dtype):
+    """``ParamGroup.average`` gives the bits of SacAgent.polyak's
+    ``tau * critic + (1 - tau) * target`` and SrlModel.ema_update_key's
+    ``(1 - tau) * key + tau * online``, widening as they did."""
+    rng = np.random.default_rng(23)
+    source = rng.standard_normal(7).astype(source_dtype)
+    for tau in (0.01, 0.05):
+        group = ParamGroup("g", {"a": Tensor(rng.standard_normal(7).astype(target_dtype))},
+                           requires_grad=False)
+        start = group.data.copy()
+        group.average(1.0 - tau, source, tau)
+        assert_same_bits(group.data, tau * source + (1.0 - tau) * start)
+        assert_same_bits(group.data, (1.0 - tau) * start + tau * source)
+        assert group.params["a"].data.base is group.data
+
+
+def test_polyak_and_key_ema_write_in_place():
+    cfg = ExperimentConfig(hidden_dim=16, srl=SrlConfig(head="contrastive", z_dim=8))
+    rng = np.random.default_rng(24)
+    srl = SrlModel(rng, cfg)
+    agent = SacAgent(rng, cfg, 2, "task", 0.99, encoder=srl.online)
+    agent.critic.data[...] += 0.5   # let the target move
+    srl.online.data[...] += 0.5
+    for group, source, tau, move in ((agent.target, agent.critic, agent.tau, agent.polyak),
+                                     (srl.key, srl.online, cfg.srl.key_tau, srl.ema_update_key)):
+        buffer, start = group.data, group.data.copy()
+        move()
+        assert group.data is buffer
+        assert_same_bits(group.data, tau * source.data + (1.0 - tau) * start)
+
+
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
+@pytest.mark.parametrize("case", [CONV_CASES[0], CONV_T_CASES[0]], ids=_case_id)
+def test_conv_with_a_wider_bias_widens_like_the_chain(case, relu):
+    """A float32 conv with a float64 bias (the gradient suite promotes one
+    tensor at a time) returns float64, as ``conv + reshape(b)`` does."""
+    x_shape, k_shape, stride, output_padding = case
+    rng = np.random.default_rng(24)
+    f = k_shape[0] if output_padding is None else k_shape[1]
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    k = (rng.standard_normal(k_shape) * 0.3).astype(np.float32)
+    b = rng.standard_normal(f)
+
+    def conv(b=None, relu=False):
+        if output_padding is None:
+            return ad.conv2d(Tensor(x), Tensor(k), stride, b, relu)
+        return ad.conv_transpose2d(Tensor(x), Tensor(k), stride, output_padding, b, relu)
+
+    fused = conv(Tensor(b), relu)
+    chain = _relu_chain(conv() + ad.reshape(Tensor(b), (1, -1, 1, 1)), relu)
+    assert fused.data.dtype == np.float64
+    assert_same_bits(fused.data, chain.data)
+
+
+def _im2col_as_strided(xh, stride, ho, wo):
+    n, _, _, c = xh.shape
+    s0, s1, s2, s3 = xh.strides
+    win = np.lib.stride_tricks.as_strided(
+        xh, (n, ho, wo, 3, 3, c), (s0, s1 * stride, s2 * stride, s1, s2, s3))
+    return win.reshape(n * ho * wo, 9 * c)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_im2col_matches_as_strided(stride):
+    xh = np.random.default_rng(25).standard_normal((2, 9, 8, 3)).astype(np.float32)
+    ho, wo = (9 - 3) // stride + 1, (8 - 3) // stride + 1
+    assert_same_bits(ad._im2col(xh, stride, ho, wo), _im2col_as_strided(xh, stride, ho, wo))
+
+
+def _scatter_taps(xh, kmat, stride, ho, wo):
+    """The nine-tap loop of ``_scatter``, into a zero accumulator."""
+    n, h, w, f = xh.shape
+    taps = np.ascontiguousarray(kmat.reshape(f, 3, 3, -1).transpose(1, 2, 0, 3))
+    rows = xh.reshape(n * h * w, f)
+    acc = np.zeros((n, ho, wo, taps.shape[3]), dtype=np.result_type(xh, kmat))
+    for u in range(3):
+        for v in range(3):
+            acc[:, u:u + stride * (h - 1) + 1:stride,
+                v:v + stride * (w - 1) + 1:stride] += (rows @ taps[u, v]).reshape(n, h, w, -1)
+    return acc
+
+
+@pytest.mark.parametrize("dtype", FLOATS, ids=["float32", "float64"])
+def test_scatter_of_one_position_matches_the_tap_loop(dtype):
+    """deconv1's forward and conv4's input gradient: one GEMM, with a -0.0
+    turned into 0.0 as the zero accumulator does."""
+    rng = np.random.default_rng(26)
+    xh = rng.standard_normal((4, 1, 1, 32)).astype(dtype)
+    xh[1] = 0.0        # a zero input row: every product is +-0.0
+    kmat = -np.abs(rng.standard_normal((32, 9 * 32))).astype(dtype)
+    got = ad._scatter(xh, kmat, 1, 3, 3)
+    assert_same_bits(got, _scatter_taps(xh, kmat, 1, 3, 3))
+    assert not np.signbit(got[1]).any()
+
+
+@pytest.mark.parametrize("channels", [3, 32])
+@pytest.mark.parametrize("view", [False, True], ids=["contiguous", "view"])
+def test_nhwc_copies_exactly(channels, view):
+    x = _input(np.random.default_rng(27), (2, channels, 5, 4), np.float32, view)
+    assert_same_bits(ad._nhwc(x), np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
+    nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    assert np.shares_memory(ad._nhwc(nhwc.transpose(0, 3, 1, 2)), nhwc)   # no copy
+
+
+@pytest.mark.parametrize("dtype", FLOATS, ids=["float32", "float64"])
+@pytest.mark.parametrize("axis,keepdims", [(None, False), ((1, 2, 3), False), (3, True),
+                                           (1, False), ((0, 2), True)])
+def test_reductions_match_numpy_methods(axis, keepdims, dtype):
+    """reduce_sum and reduce_mean: forward as ``sum``/``mean``, backward as
+    the broadcast copy of the seed gradient (divided by the count)."""
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((4, 3, 5, 6)).astype(dtype)
+    x = x.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)    # NHWC memory too
+    axes = ad._check_axis(axis, 4)
+    for op, method in ((ad.reduce_sum, "sum"), (ad.reduce_mean, "mean")):
+        xt = Tensor(x, requires_grad=True)
+        out = op(xt, axis=axis, keepdims=keepdims)
+        want = getattr(x, method)(axis=axes, keepdims=keepdims)
+        assert_same_bits(np.asarray(out.data), np.asarray(want))
+        g = rng.standard_normal(np.shape(want)).astype(dtype)
+        (gx,) = out.node.backward_fn(g)
+        ge = g if axes is None or keepdims else np.expand_dims(g, axis=axes)
+        if method == "mean":
+            ge = ge / (x.size // max(np.size(want), 1))
+        assert_same_bits(gx, np.broadcast_to(ge, x.shape).copy())

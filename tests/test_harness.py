@@ -943,9 +943,9 @@ class TestCompareRuns:
         assert "rows differ" not in out.stdout and "first differing row" not in out.stdout
 
     def test_against_a_revision(self, tmp_path, monkeypatch, capsys):
-        """``--against REV`` on a one-run set: a revision equal to the working
-        tree gives identical runs, and one changed default in the working tree
-        gives a difference."""
+        """``--against REV`` on a one-run set whose job is a run and its
+        resume: a revision equal to the working tree gives identical runs, and
+        one changed default in the working tree gives a difference."""
         spec = importlib.util.spec_from_file_location("compare_runs", self.SCRIPT)
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
@@ -960,9 +960,19 @@ class TestCompareRuns:
                 "crop_size=16", "horizon=40", "srl.z_dim=16", "replay.capacity=200",
                 "eval.interval=20", "eval.episodes=1")
         monkeypatch.setattr(tool, "ROOT", str(repo))
-        monkeypatch.setattr(tool, "JOBS", [("tiny", (
-            "train", "--task", "point_reacher", "--steps", "30",
-            *(a for s in sets for a in ("--set", s))))])
+
+        def run(steps, *extra):
+            return ("train", "--task", "point_reacher", "--steps", str(steps),
+                    *(a for s in sets for a in ("--set", s)), *extra)
+        commands = [run(20), run(30, "--resume", os.path.join("{out}", CHECKPOINT_FILE))]
+        monkeypatch.setattr(tool, "JOBS", [("tiny", commands)])
+
+        # both commands run, in one run directory: the second resumes at step 20
+        assert tool.run_job(str(repo), str(tmp_path / "runs"), "tiny", commands)[0] == 0
+        arrays, meta, _ = ckpt.load(str(tmp_path / "runs" / "tiny" / CHECKPOINT_FILE))
+        assert ckpt.join(arrays, meta)["trainer"]["phase_t"] == 30
+        failing = commands[:1] + [run(30, "--resume", "missing.ckpt")]
+        assert tool.run_job(str(repo), str(tmp_path / "bad"), "tiny", failing)[0] != 0
 
         assert tool.main(["--against", "HEAD"]) == 0
         out = capsys.readouterr().out
